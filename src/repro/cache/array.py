@@ -30,6 +30,11 @@ class SetAssociativeCache:
         #: insertion order but LRU ordering uses explicit timestamps.
         self._sets: list[dict[int, CacheLine]] = [{} for _ in range(geometry.sets)]
         self._clock = 0
+        #: ``geometry.set_index`` is the specification; the hot methods
+        #: inline it from these cached fields instead of calling it.
+        self._mask = geometry.sets - 1
+        self._shift = geometry.index_shift
+        self._ways = geometry.ways
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -38,11 +43,15 @@ class SetAssociativeCache:
     # -- lookups --------------------------------------------------------------
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
         """Return the entry for ``line_addr`` without touching LRU state."""
-        return self._sets[self._geometry.set_index(line_addr)].get(line_addr)
+        shift = self._shift
+        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
+        return self._sets[index].get(line_addr)
 
     def access(self, line_addr: int) -> Optional[CacheLine]:
         """Return the entry and mark it most recently used."""
-        entry = self.lookup(line_addr)
+        shift = self._shift
+        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
+        entry = self._sets[index].get(line_addr)
         if entry is not None:
             self._clock += 1
             entry.last_use = self._clock
@@ -60,26 +69,39 @@ class SetAssociativeCache:
         Returns ``None`` when the set has a free way (or already holds the
         line, in which case insertion is a replacement of itself).
         """
-        cache_set = self._sets[self._geometry.set_index(line_addr)]
-        if line_addr in cache_set or len(cache_set) < self._geometry.ways:
+        shift = self._shift
+        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
+        cache_set = self._sets[index]
+        if line_addr in cache_set or len(cache_set) < self._ways:
             return None
-        return self._policy.select_victim(list(cache_set.values()))
+        return self._policy.select_victim(cache_set.values())
 
     def insert(self, entry: CacheLine) -> None:
         """Insert an entry; the caller must have made room first."""
-        cache_set = self._sets[self._geometry.set_index(entry.line_addr)]
-        if entry.line_addr not in cache_set and len(cache_set) >= self._geometry.ways:
+        line_addr = entry.line_addr
+        shift = self._shift
+        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
+        cache_set = self._sets[index]
+        if line_addr not in cache_set and len(cache_set) >= self._ways:
             raise RuntimeError(
                 f"inserting line {entry.line_addr:#x} into a full set; "
                 "evict the victim_for() entry first"
             )
         self._clock += 1
         entry.last_use = self._clock
-        cache_set[entry.line_addr] = entry
+        cache_set[line_addr] = entry
 
     def remove(self, line_addr: int) -> Optional[CacheLine]:
         """Remove and return the entry for ``line_addr`` (or ``None``)."""
-        return self._sets[self._geometry.set_index(line_addr)].pop(line_addr, None)
+        shift = self._shift
+        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
+        return self._sets[index].pop(line_addr, None)
+
+    def set_entries(self, line_addr: int) -> list[CacheLine]:
+        """The entries of ``line_addr``'s set, in insertion order."""
+        shift = self._shift
+        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
+        return list(self._sets[index].values())
 
     # -- inspection -----------------------------------------------------------
     def __iter__(self) -> Iterator[CacheLine]:

@@ -69,6 +69,10 @@ class LLCSlice:
     def __iter__(self) -> Iterator[CacheLine]:
         return iter(self._array)
 
+    def set_entries(self, line_addr: int) -> list[CacheLine]:
+        """The entries of ``line_addr``'s set, in insertion order."""
+        return self._array.set_entries(line_addr)
+
     def __len__(self) -> int:
         return len(self._array)
 

@@ -11,15 +11,20 @@ reproduces that comparison.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from operator import attrgetter
+from typing import Collection, Protocol
 
 from repro.cache.entries import CacheLine
+
+#: Sort keys shared by the policies and the VR victim search.
+BY_RECENCY = attrgetter("last_use")
+BY_COPIES_THEN_RECENCY = attrgetter("l1_copies", "last_use")
 
 
 class ReplacementPolicy(Protocol):
     """Chooses a victim among the valid entries of a full set."""
 
-    def select_victim(self, candidates: Sequence[CacheLine]) -> CacheLine:
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
         """Return the entry to evict. ``candidates`` is non-empty."""
         ...
 
@@ -27,10 +32,10 @@ class ReplacementPolicy(Protocol):
 class LRUPolicy:
     """Classic least-recently-used replacement."""
 
-    def select_victim(self, candidates: Sequence[CacheLine]) -> CacheLine:
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
         if not candidates:
             raise ValueError("no replacement candidates")
-        return min(candidates, key=lambda entry: entry.last_use)
+        return min(candidates, key=BY_RECENCY)
 
 
 class ModifiedLRUPolicy:
@@ -40,10 +45,10 @@ class ModifiedLRUPolicy:
     the inclusive hierarchy would otherwise trigger) negligible.
     """
 
-    def select_victim(self, candidates: Sequence[CacheLine]) -> CacheLine:
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
         if not candidates:
             raise ValueError("no replacement candidates")
-        return min(candidates, key=lambda entry: (entry.l1_copies, entry.last_use))
+        return min(candidates, key=BY_COPIES_THEN_RECENCY)
 
 
 def make_policy(name: str) -> ReplacementPolicy:

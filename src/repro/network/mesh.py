@@ -13,6 +13,11 @@ stable when transactions carry timestamps slightly ahead of the global
 simulation frontier (a busy-until model lets one far-future reservation
 block frontier traffic on an idle link, producing runaway feedback).
 
+Implementation: ``send`` sits on the miss path of every simulation
+kernel, so every XY route is precomputed when the mesh is built, as a
+tuple of integer link ids, and each link's epoch index and flit load
+live in two flat lists indexed by link id.
+
 Energy accounting counts router traversals and link traversals per flit;
 the energy model charges them separately (Figure 6 splits "Network
 Router" and "Network Link").
@@ -22,6 +27,28 @@ from __future__ import annotations
 
 from repro.common.params import MachineConfig
 from repro.network.topology import MeshTopology
+
+
+#: ``routes[src][dst]``: the link ids an XY route crosses, in order.
+LinkRoutes = tuple[tuple[tuple[int, ...], ...], ...]
+
+
+def _xy_link_routes(topology: MeshTopology) -> tuple[LinkRoutes, int]:
+    """Every (src, dst) XY route as a tuple of integer link ids.
+
+    Returns ``(routes, num_links)``.  Directed links get dense ids
+    (``0 .. num_links - 1``) in first-seen order.
+    """
+    num_cores = topology.num_cores
+    link_ids: dict[tuple[int, int], int] = {}
+    routes = tuple(
+        tuple(
+            tuple(link_ids.setdefault(link, len(link_ids)) for link in topology.route(src, dst))
+            for dst in range(num_cores)
+        )
+        for src in range(num_cores)
+    )
+    return routes, len(link_ids)
 
 
 class Mesh:
@@ -36,14 +63,13 @@ class Mesh:
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self.topology = MeshTopology(config.num_cores)
-        #: XY routes are static, so the directed-link sequence of every
-        #: (src, dst) pair is computed once and reused — ``send`` sits on
-        #: the miss path of every simulation kernel and re-walking the
-        #: coordinate math per message dominated its cost.
-        self._route_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._routes, num_links = _xy_link_routes(self.topology)
         self._hop_latency = config.hop_latency
-        #: Per directed link: (epoch index, flits carried in that epoch).
-        self._link_load: dict[tuple[int, int], tuple[int, int]] = {}
+        #: Per directed link: the epoch index of its current window (-1
+        #: before first use; simulated times are non-negative) and the
+        #: flits it carried in that window.
+        self._link_epochs = [-1] * num_links
+        self._link_flits = [0] * num_links
         # -- counters consumed by the energy model --------------------------
         self.router_flit_traversals = 0
         self.link_flit_traversals = 0
@@ -65,43 +91,48 @@ class Mesh:
         Accumulates per-link load for the contention model and the
         router/link energy event counts.  ``src == dst`` is a local
         operation: free and instantaneous.
+
+        Each link on the route charges a queueing delay from the flits it
+        already carried in the current epoch (a stale timestamp behind the
+        link's epoch accumulates into it); the delay, plus the hop
+        latency, advances the head flit.
         """
         self.messages_sent += 1
         self.total_flits += flits
         if src == dst:
             return depart
-        route = self._route_cache.get((src, dst))
-        if route is None:
-            route = tuple(self.topology.route(src, dst))
-            self._route_cache[(src, dst)] = route
-        now = depart
+        route = self._routes[src][dst]
+        epochs = self._link_epochs
+        loads = self._link_flits
+        epoch_cycles = self.CONTENTION_EPOCH
+        max_utilization = self.MAX_UTILIZATION
         hop_latency = self._hop_latency
-        link_delay = self._link_delay
+        queueing = self.total_queueing_delay
+        now = depart
         for link in route:
-            now += link_delay(link, flits, now) + hop_latency
+            epoch = int(now) // epoch_cycles
+            if epoch > epochs[link]:
+                epochs[link] = epoch
+                loads[link] = flits
+                delay = 0.0
+            else:
+                prior_load = loads[link]
+                loads[link] = prior_load + flits
+                if prior_load > 0:
+                    utilization = prior_load / epoch_cycles
+                    if utilization > max_utilization:
+                        utilization = max_utilization
+                    delay = flits * utilization / (1.0 - utilization)
+                    queueing += delay
+                else:
+                    delay = 0.0
+            now += delay + hop_latency
+        self.total_queueing_delay = queueing
         hops = len(route)
         self.router_flit_traversals += flits * (hops + 1)
         self.link_flit_traversals += flits * hops
         # Tail flit trails the head by (flits - 1) cycles of serialization.
         return now + (flits - 1)
-
-    def _link_delay(self, link: tuple[int, int], flits: int, now: float) -> float:
-        """Queueing delay on one link, updating its window load."""
-        epoch = int(now) // self.CONTENTION_EPOCH
-        stored = self._link_load.get(link)
-        if stored is None or epoch > stored[0]:
-            prior_load = 0
-            self._link_load[link] = (epoch, flits)
-        else:
-            # Same epoch (or a slightly stale timestamp): accumulate.
-            prior_load = stored[1]
-            self._link_load[link] = (stored[0], prior_load + flits)
-        utilization = min(prior_load / self.CONTENTION_EPOCH, self.MAX_UTILIZATION)
-        if utilization <= 0.0:
-            return 0.0
-        delay = flits * utilization / (1.0 - utilization)
-        self.total_queueing_delay += delay
-        return delay
 
     def round_trip(
         self, src: int, dst: int, request_flits: int, response_flits: int, depart: float

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.entries import HomeEntry, L1Line, ReplicaEntry
+from repro.cache.replacement import BY_RECENCY
 from repro.common.types import MESIState
 from repro.energy import model as energy_events
 from repro.schemes.base import LocalHit, ProtocolEngine
@@ -122,15 +123,10 @@ class VictimReplicationScheme(ProtocolEngine):
             return False  # cannot shadow our own home line
         if llc.victim_for(line_addr) is None:
             return True  # a free way exists
-        set_index = llc.geometry.set_index(line_addr)
-        candidates = [
-            entry
-            for entry in llc
-            if llc.geometry.set_index(entry.line_addr) == set_index
-        ]
+        candidates = llc.set_entries(line_addr)
         replicas = [entry for entry in candidates if isinstance(entry, ReplicaEntry)]
         if replicas:
-            chosen = min(replicas, key=lambda entry: entry.last_use)
+            chosen = min(replicas, key=BY_RECENCY)
             self.evict_slice_entry(core, chosen, now)
             return True
         sharerless = [
@@ -139,7 +135,7 @@ class VictimReplicationScheme(ProtocolEngine):
             if isinstance(entry, HomeEntry) and entry.sharers.count == 0
         ]
         if sharerless:
-            chosen = min(sharerless, key=lambda entry: entry.last_use)
+            chosen = min(sharerless, key=BY_RECENCY)
             self.evict_slice_entry(core, chosen, now)
             return True
         return False

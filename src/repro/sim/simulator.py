@@ -4,8 +4,8 @@ Cores are in-order and single-issue (Table 1): each core processes its
 trace sequentially, spending the record's compute gap and then the full
 memory latency of the access.  The simulator interleaves cores in global
 time order (a heap keyed by each core's next-ready time) so the shared
-resources' busy-until contention models — mesh links, DRAM controllers,
-per-line home serialization — observe causally ordered traffic.
+resources' contention models — mesh links, DRAM controllers, per-line
+home serialization — observe causally ordered traffic.
 
 Barrier records implement the synchronization component of the
 completion-time breakdown: a core reaching a barrier parks until every
@@ -15,13 +15,14 @@ guarantees all cores carry the same number of barriers.
 
 The event loop itself is pluggable (:mod:`repro.sim.kernel`): the
 ``reference`` kernel is the simple per-record baseline, the ``fast``
-kernel is the hoisted/run-ahead hot path, and the ``batched`` kernel
-services whole runs of same-core L1 hits per scheduler entry; all three
+kernel is the hoisted/run-ahead hot path, the ``batched`` kernel
+services whole runs of same-core L1 hits per scheduler entry, and the
+``vector`` kernel commits long L1-hit spans array-at-a-time; all four
 are bit-identical — an equivalence the :mod:`repro.testing` differential
 harness enforces (continuously over fuzzed profiles in the nightly CI).
 Select a kernel per call (``simulate(..., kernel="reference")``), per
 process (``REPRO_SIM_KERNEL=reference``), or via the experiment CLI
-(``python -m repro.experiments --kernel reference ...``).
+(``python -m repro experiments --kernel reference ...``).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """Set-associative array mechanics."""
 
+import random
+
 import pytest
 
 from repro.cache.array import SetAssociativeCache
@@ -118,3 +120,43 @@ class TestInspection:
         assert len(cache) <= cache.geometry.lines
         for set_index in range(cache.geometry.sets):
             assert cache.set_occupancy(set_index) <= cache.geometry.ways
+
+
+class TestSetEntries:
+    def test_plain_index_returns_the_set_in_insertion_order(self, cache):
+        for addr in (4, 1, 0, 9):
+            cache.insert(_entry(addr))
+        assert [entry.line_addr for entry in cache.set_entries(8)] == [4, 0]
+        assert [entry.line_addr for entry in cache.set_entries(5)] == [1, 9]
+        assert cache.set_entries(2) == []
+
+    def test_result_is_a_snapshot(self, cache):
+        cache.insert(_entry(0))
+        entries = cache.set_entries(0)
+        cache.remove(0)
+        assert [entry.line_addr for entry in entries] == [0]
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [CacheGeometry(sets=64, ways=4), CacheGeometry(sets=16, ways=8, index_shift=4)],
+        ids=["l1-plain", "llc-hashed"],
+    )
+    def test_matches_a_filtered_walk_of_the_array(self, geometry):
+        """``set_entries`` is the whole-array walk filtered on
+        ``geometry.set_index``, in the same order."""
+        cache = SetAssociativeCache(geometry, LRUPolicy())
+        rng = random.Random(7)
+        for _ in range(2000):
+            addr = rng.randrange(1 << 14)
+            if cache.lookup(addr) is not None:
+                cache.access(addr)
+                continue
+            victim = cache.victim_for(addr)
+            if victim is not None:
+                cache.remove(victim.line_addr)
+            cache.insert(_entry(addr))
+        for _ in range(300):
+            probe = rng.randrange(1 << 14)
+            wanted = geometry.set_index(probe)
+            walked = [e for e in cache if geometry.set_index(e.line_addr) == wanted]
+            assert cache.set_entries(probe) == walked

@@ -75,3 +75,16 @@ class TestCounts:
         assert llc.utilization() == 0.0
         llc.insert(_home(0))
         assert llc.utilization() == pytest.approx(1 / 8)
+
+
+class TestSetEntries:
+    def test_passes_through_to_the_array(self):
+        geometry = CacheGeometry(sets=4, ways=4, index_shift=2)
+        llc = LLCSlice(0, geometry, ModifiedLRUPolicy())
+        entries = [_home(0), _replica(5), _home(10), _replica(15), _home(1)]
+        for entry in entries:
+            llc.insert(entry)
+        target = geometry.set_index(0)
+        same_set = [e for e in entries if geometry.set_index(e.line_addr) == target]
+        assert len(same_set) > 1
+        assert llc.set_entries(0) == same_set

@@ -1,5 +1,7 @@
 """Replacement policies: LRU and the paper's modified-LRU (Section 2.2.4)."""
 
+import random
+
 import pytest
 
 from repro.cache.entries import CacheLine, HomeEntry, ReplicaEntry
@@ -71,6 +73,32 @@ class TestModifiedLRU:
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
             ModifiedLRUPolicy().select_victim([])
+
+
+class TestKeyFunctions:
+    """The ``attrgetter`` keys pick exactly what the lambda keys did."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_victim_as_lambda_keys(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            candidates = {}
+            for addr in range(rng.randint(1, 8)):
+                # Few distinct stamps and copy counts, so both keys tie.
+                last_use = rng.randrange(6)
+                if rng.random() < 0.5:
+                    sharers = rng.sample(range(4), rng.randrange(3))
+                    entry = _home(addr, last_use, sharers)
+                else:
+                    entry = _replica(addr, last_use, rng.random() < 0.5)
+                candidates[addr] = entry
+            view = candidates.values()
+            assert LRUPolicy().select_victim(view) is min(
+                view, key=lambda entry: entry.last_use
+            )
+            assert ModifiedLRUPolicy().select_victim(view) is min(
+                view, key=lambda entry: (entry.l1_copies, entry.last_use)
+            )
 
 
 class TestFactory:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.cache.entries import HomeEntry, ReplicaEntry
+from repro.coherence.sharers import make_sharer_tracker
 from repro.common.params import CacheGeometry, MachineConfig
 from repro.common.types import MESIState, MissStatus
 from repro.schemes.victim import VictimReplicationScheme
@@ -48,6 +50,96 @@ class TestVictimPlacement:
         assert engine.stats.counters.get("vr_placement_rejected", 0) >= 1
         assert engine.slices[0].replica(5) is None
         assert check_coherence(engine) == []
+
+
+def lines_in_set(geometry, set_index, residue, count, num_cores=4):
+    """``count`` lines with ``line % num_cores == residue`` in one slice set."""
+    found = []
+    line = residue
+    while len(found) < count:
+        if geometry.set_index(line) == set_index:
+            found.append(line)
+        line += num_cores
+    return found
+
+
+class TestSetLocalVictimSearch:
+    """``_make_victim_room`` only considers the victim's own slice set:
+    a cheaper candidate in another set is never evicted for it."""
+
+    @pytest.fixture
+    def slice0(self, engine):
+        llc = engine.slices[0]
+        geometry = llc.geometry
+        assert geometry.ways == 4
+        victim_line = 1  # homed at core 1, so a VR placement candidate
+        target = geometry.set_index(victim_line)
+        other = (target + 1) % geometry.sets
+        return llc, victim_line, target, other
+
+    def _home(self, engine, line, sharers=()):
+        entry = HomeEntry(
+            line, make_sharer_tracker(engine.config.num_cores, engine.config.ackwise_pointers)
+        )
+        for core in sharers:
+            entry.sharers.add(core)
+        return entry
+
+    def _replica(self, line):
+        return ReplicaEntry(line, MESIState.SHARED, reuse_max=3)
+
+    def test_oldest_same_set_replica_is_evicted(self, engine, slice0):
+        llc, victim_line, target, other = slice0
+        geometry = llc.geometry
+        (far_replica,) = lines_in_set(geometry, other, 2, 1)
+        llc.insert(self._replica(far_replica))  # oldest entry in the slice
+        shared_home, free_home = lines_in_set(geometry, target, 0, 2)
+        young, old = lines_in_set(geometry, target, 3, 2)
+        llc.insert(self._home(engine, shared_home, sharers=[1]))
+        llc.insert(self._replica(young))
+        llc.insert(self._replica(old))
+        llc.insert(self._home(engine, free_home))
+        llc.touch(llc.lookup(young))  # insertion order != recency order
+
+        assert engine._make_victim_room(0, victim_line, now=0.0)
+        assert llc.lookup(old) is None
+        for survivor in (far_replica, shared_home, free_home, young):
+            assert llc.lookup(survivor) is not None
+        assert engine.stats.counters["replica_evictions"] == 1
+
+    def test_oldest_same_set_sharerless_home_is_evicted(self, engine, slice0):
+        llc, victim_line, target, other = slice0
+        geometry = llc.geometry
+        (far_replica,) = lines_in_set(geometry, other, 2, 1)
+        (far_free_home,) = lines_in_set(geometry, other, 0, 1)
+        llc.insert(self._replica(far_replica))
+        llc.insert(self._home(engine, far_free_home))
+        shared_a, young, shared_b, old = lines_in_set(geometry, target, 0, 4)
+        llc.insert(self._home(engine, shared_a, sharers=[2]))
+        llc.insert(self._home(engine, young))
+        llc.insert(self._home(engine, shared_b, sharers=[3]))
+        llc.insert(self._home(engine, old))
+        llc.touch(llc.lookup(young))
+
+        assert engine._make_victim_room(0, victim_line, now=0.0)
+        assert llc.lookup(old) is None
+        for survivor in (far_replica, far_free_home, shared_a, young, shared_b):
+            assert llc.lookup(survivor) is not None
+        assert engine.stats.counters["home_evictions"] == 1
+
+    def test_cheap_candidates_elsewhere_do_not_make_room(self, engine, slice0):
+        llc, victim_line, target, other = slice0
+        geometry = llc.geometry
+        (far_replica,) = lines_in_set(geometry, other, 2, 1)
+        (far_free_home,) = lines_in_set(geometry, other, 0, 1)
+        llc.insert(self._replica(far_replica))
+        llc.insert(self._home(engine, far_free_home))
+        shared = lines_in_set(geometry, target, 0, 4)
+        for line in shared:
+            llc.insert(self._home(engine, line, sharers=[1]))
+
+        assert not engine._make_victim_room(0, victim_line, now=0.0)
+        assert len(llc) == 6
 
 
 class TestExclusiveRelation:
