@@ -36,8 +36,7 @@ pin bit-identity and ``choose_kernel`` is asserted to pick vector only
 where it wins.
 
 Every regime is measured under all four kernels so the uploaded
-benchmark JSON (and the checked-in ``benchmarks/baseline.json`` trend
-diff) tracks each kernel separately.
+benchmark JSON tracks each kernel separately.
 
 The four speedup gates assert wall-clock ratios, which a loaded or
 throttled host can miss, so they carry the ``wallclock`` marker: the

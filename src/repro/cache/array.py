@@ -1,7 +1,7 @@
 """Generic set-associative cache array.
 
-This is the storage substrate under both the private L1 caches and the
-LLC slices.  It stores :class:`~repro.cache.entries.CacheLine` objects,
+This is the base class of both the private L1 caches and the LLC
+slices.  It stores :class:`~repro.cache.entries.CacheLine` objects,
 maintains per-set occupancy and LRU timestamps, and delegates victim
 selection to a pluggable :class:`~repro.cache.replacement.ReplacementPolicy`.
 

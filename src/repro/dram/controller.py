@@ -42,12 +42,15 @@ class MemoryController:
         epoch = int(now) // self.CONTENTION_EPOCH
         stored_epoch, demand = self._window
         if epoch > stored_epoch:
-            demand = 0
             self._window = (epoch, self.service)
-        else:
-            self._window = (stored_epoch, demand + self.service)
-        utilization = min(demand / self.CONTENTION_EPOCH, self.MAX_UTILIZATION)
-        wait = self.service * utilization / (1.0 - utilization) if utilization > 0 else 0.0
+            return 0.0, 0.0 + self.latency
+        self._window = (stored_epoch, demand + self.service)
+        if not demand:
+            return 0.0, 0.0 + self.latency
+        utilization = demand / self.CONTENTION_EPOCH
+        if utilization > self.MAX_UTILIZATION:
+            utilization = self.MAX_UTILIZATION
+        wait = self.service * utilization / (1.0 - utilization)
         return wait, wait + self.latency
 
 
@@ -98,7 +101,9 @@ class DramSystem:
     def read(self, line_addr: int, now: float) -> tuple[MemoryController, float, float]:
         """Fetch a line; returns ``(controller, queue_wait, total_latency)``."""
         self.reads += 1
-        controller = self.controller_for(line_addr)
+        # controller_for, inlined (it is the specification).
+        controllers = self.controllers
+        controller = controllers[(line_addr ^ (line_addr >> 6)) % len(controllers)]
         wait, latency = controller.access(now)
         return controller, wait, latency
 

@@ -70,13 +70,12 @@ import hashlib
 import itertools
 import json
 import os
-from collections import Counter
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Protocol, runtime_checkable
 
 from repro.common.types import MissStatus
 from repro.experiments.runner import RunResult
-from repro.sim.stats import SimStats
+from repro.sim.stats import SimStats, Tally
 
 #: Bump when the simulator's observable statistics change meaning, so
 #: stale on-disk results from an older format can never be returned.
@@ -183,10 +182,10 @@ def decode_result(payload: Mapping) -> RunResult:
     raw = payload["stats"]
     stats = SimStats(
         num_cores=raw["num_cores"],
-        counters=Counter(raw["counters"]),
-        energy_counts=Counter(raw["energy_counts"]),
-        latency=Counter(raw["latency"]),
-        miss_status=Counter(
+        counters=Tally(raw["counters"]),
+        energy_counts=Tally(raw["energy_counts"]),
+        latency=Tally(raw["latency"]),
+        miss_status=Tally(
             {MissStatus[name]: count for name, count in raw["miss_status"].items()}
         ),
         core_finish=list(raw["core_finish"]),

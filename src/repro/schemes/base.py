@@ -222,19 +222,19 @@ class ProtocolEngine:
             return AccessResult(self.config.l1_latency, MissStatus.L1_HIT)
 
         self.stats.bump("l1i_misses" if is_ifetch else "l1d_misses")
-        result = self._handle_l1_miss(core, line_addr, write, is_ifetch, now)
+        latency, status, state, dirty = self._handle_l1_miss(
+            core, line_addr, write, is_ifetch, now
+        )
         # The fill (and any L1 eviction it triggers) is timestamped at the
         # *issue* time, not issue + latency: off-critical-path messages must
         # not reserve mesh links ahead of the global simulation frontier,
         # or critical-path traffic would queue behind reservations for
         # links that are actually idle (a runaway-feedback artifact).
-        self._fill_l1(
-            core, line_addr, result.state, write, is_ifetch, now, dirty=result.dirty
-        )
-        self.stats.record_miss(result.status)
-        total = result.latency + self.config.l1_latency
+        self._fill_l1(core, line_addr, state, write, is_ifetch, now, dirty=dirty)
+        self.stats.record_miss(status)
+        total = latency + self.config.l1_latency
         self.stats.add_latency(stat_names.L1_HIT_TIME, self.config.l1_latency)
-        return AccessResult(total, result.status, result.state)
+        return AccessResult(total, status, state)
 
     def make_fast_access(self):
         """Specialized access entry point for the fast simulation kernel.
@@ -300,11 +300,13 @@ class ProtocolEngine:
                     send_tla_hint(core, line_addr, is_ifetch, now)
                 return l1_latency
             counters["l1i_misses" if is_ifetch else "l1d_misses"] += 1
-            result = handle_l1_miss(core, line_addr, write, is_ifetch, now)
-            fill_l1(core, line_addr, result.state, write, is_ifetch, now, dirty=result.dirty)
-            miss_status[result.status] += 1
+            latency, status, state, dirty = handle_l1_miss(
+                core, line_addr, write, is_ifetch, now
+            )
+            fill_l1(core, line_addr, state, write, is_ifetch, now, dirty=dirty)
+            miss_status[status] += 1
             latency_buckets[L1_HIT_TIME] += l1_latency
-            return result.latency + l1_latency
+            return latency + l1_latency
 
         return fast_access
 
@@ -478,9 +480,9 @@ class ProtocolEngine:
         miss_status = stats.miss_status
         energy_counts = stats.energy_counts
         # type(cache) is L1Cache above makes probe_hit's body the one we
-        # inline here: _array.access plus the write-permission check.
-        instr_probe = [cache._array.access for cache in self.l1i]
-        data_probe = [cache._array.access for cache in self.l1d]
+        # inline here: the array's access plus the write-permission check.
+        instr_probe = [cache.access for cache in self.l1i]
+        data_probe = [cache.access for cache in self.l1d]
         l1i_caches = self.l1i
         l1d_caches = self.l1d
         READ = AccessType.READ
@@ -503,7 +505,7 @@ class ProtocolEngine:
             self._make_replica_service() if self._replica_batching_guards() else None
         )
         # Per-record replica-hit latency with the reference operation
-        # grouping (AccessResult(probe + hit.latency) then + l1_latency);
+        # grouping ((probe + hit.latency) then + l1_latency);
         # probe_cost is the constant local-slice tag probe every scheme's
         # local_lookup charges on a (non-cluster) replica hit.
         probe_cost = float(self.config.llc_tag_latency)
@@ -533,7 +535,7 @@ class ProtocolEngine:
             prechecks run before any mutation, so a 0 return leaves the
             machine untouched for the single-step fallback.
             """
-            victim = l1._array.victim_for(line_addr)
+            victim = l1.victim_for(line_addr)
             if victim is not None:
                 if not inline_victims:
                     return 0
@@ -548,14 +550,13 @@ class ProtocolEngine:
             if grant is None:
                 return 0
             state, rep_dirty = grant
-            # The L1 fill, inlined from L1Cache.insert minus the lookup
+            # The L1 fill, inlined from L1Cache.fill minus the lookup
             # (the probe just missed) and the victim re-selection (no L1
             # mutation since the precheck — same victim).
-            array = l1._array
             if victim is not None:
-                array.remove(victim.line_addr)
+                l1.remove(victim.line_addr)
             entry = L1Line(line_addr, state)
-            array.insert(entry)
+            l1.insert(entry)
             if rep_dirty:
                 entry.dirty = True
             if write:
@@ -826,7 +827,7 @@ class ProtocolEngine:
                 # Per-cluster instruction homes skip the _active_home
                 # bookkeeping; keep that branch on the generic path.
                 return None
-            array = (l1i if is_ifetch else l1d)[core]._array
+            array = (l1i if is_ifetch else l1d)[core]
             if array.lookup(line_addr) is not None:
                 return None  # L1 hit / write upgrade: not this path
             llc = slices[core]
@@ -871,9 +872,9 @@ class ProtocolEngine:
             llc.touch(entry)
             # _service_read with a local (or absent) owner: no downgrade,
             # no sharer latency.
-            members_before = entry.sharers.members()
-            only_sharer = not (members_before - {core})
-            entry.sharers.add(core)
+            sharers = entry.sharers
+            only_sharer = sharers.count == (1 if core in sharers else 0)
+            sharers.add(core)
             if only_sharer:
                 grant = EXCLUSIVE
                 entry.owner = core
@@ -1054,8 +1055,8 @@ class ProtocolEngine:
             atypes = decoded.atypes
             lines = decoded.lines
             gaps = decoded.gaps
-            data_array = l1d_caches[core]._array
-            instr_array = l1i_caches[core]._array
+            data_array = l1d_caches[core]
+            instr_array = l1i_caches[core]
             d_snap = None
             i_snap = None
             while True:
@@ -1257,7 +1258,11 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     def _handle_l1_miss(
         self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
-    ) -> AccessResult:
+    ) -> tuple[float, MissStatus, MESIState, bool]:
+        """Service an L1 miss at a local replica or the home.
+
+        Returns ``(latency, status, granted_state, dirty)``.
+        """
         hit, probe_cost = self.local_lookup(core, line_addr, write, is_ifetch, now)
         if probe_cost:
             self.stats.add_latency(stat_names.L1_TO_LLC_REPLICA, probe_cost)
@@ -1265,17 +1270,20 @@ class ProtocolEngine:
             self.stats.bump("llc_replica_hits")
             if self.observer is not None:
                 self.observer.on_replica_access(core, line_addr, write)
-            return AccessResult(
+            return (
                 probe_cost + hit.latency, MissStatus.LLC_REPLICA_HIT, hit.state, hit.dirty
             )
-        result = self._home_request(core, line_addr, write, is_ifetch, now + probe_cost)
-        result.latency += probe_cost
-        return result
+        total, status, grant = self._home_request(
+            core, line_addr, write, is_ifetch, now + probe_cost
+        )
+        return total + probe_cost, status, grant, False
 
     def _home_request(
         self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
-    ) -> AccessResult:
+    ) -> tuple[float, MissStatus, MESIState]:
         """The full request/response transaction with the home directory.
+
+        Returns ``(latency, status, granted_state)``.
 
         This is the head of the miss path, hot for every kernel, so the
         per-transaction ``self`` attribute chains are bound to locals up
@@ -1314,7 +1322,7 @@ class ProtocolEngine:
         latency_buckets[stat_names.L1_TO_LLC_HOME] += home_component
         latency_buckets[stat_names.LLC_HOME_TO_SHARERS] += sharer_latency
         latency_buckets[stat_names.LLC_HOME_TO_OFFCHIP] += offchip_latency
-        return AccessResult(total, status, grant)
+        return total, status, grant
 
     def _home_access(
         self, home: int, core: int, line_addr: int, write: bool, is_ifetch: bool, t: float
@@ -1364,10 +1372,10 @@ class ProtocolEngine:
         sharer_latency = 0.0
         if entry.owner is not None and entry.owner != core:
             sharer_latency = self._downgrade_owner(home, entry, t)
-        members_before = entry.sharers.members()
-        only_sharer = not (members_before - {core})
-        entry.sharers.add(core)
-        grant = read_grant_state(1 if only_sharer else entry.sharers.count)
+        sharers = entry.sharers
+        only_sharer = sharers.count == (1 if core in sharers else 0)
+        sharers.add(core)
+        grant = read_grant_state(1 if only_sharer else sharers.count)
         if grant == MESIState.EXCLUSIVE:
             entry.owner = core
         replicate = self.should_replicate(entry, core, False, is_ifetch, only_sharer)
@@ -1379,8 +1387,8 @@ class ProtocolEngine:
         self, home: int, core: int, entry: HomeEntry, t: float
     ) -> tuple[MESIState, float]:
         """Write at the home: invalidate every other copy, grant M."""
-        members_before = entry.sharers.members()
-        only_sharer = not (members_before - {core})
+        sharers = entry.sharers
+        only_sharer = sharers.count == (1 if core in sharers else 0)
         sharer_latency = self._invalidate_for_write(home, core, entry, t)
         replicate = self.should_replicate(entry, core, True, False, only_sharer)
         entry.sharers.clear()
@@ -1605,7 +1613,7 @@ class ProtocolEngine:
         dirty: bool = False,
     ) -> None:
         l1 = self.l1i[core] if is_ifetch else self.l1d[core]
-        entry, victim = l1.insert(line_addr, state)
+        entry, victim = l1.fill(line_addr, state)
         if dirty:
             entry.dirty = True
         if write:

@@ -1,8 +1,13 @@
 """Private L1 cache behaviour."""
 
+import random
+
 import pytest
 
+from repro.cache.array import SetAssociativeCache
+from repro.cache.entries import L1Line
 from repro.cache.l1 import L1Cache
+from repro.cache.replacement import LRUPolicy
 from repro.common.params import CacheGeometry
 from repro.common.types import MESIState
 
@@ -14,19 +19,19 @@ def l1():
 
 class TestProbeHit:
     def test_read_hit_any_valid_state(self, l1):
-        l1.insert(0, MESIState.SHARED)
+        l1.fill(0, MESIState.SHARED)
         assert l1.probe_hit(0, write=False) is not None
 
     def test_write_hit_requires_writable(self, l1):
-        l1.insert(0, MESIState.SHARED)
+        l1.fill(0, MESIState.SHARED)
         assert l1.probe_hit(0, write=True) is None
 
     def test_write_hit_on_exclusive(self, l1):
-        l1.insert(0, MESIState.EXCLUSIVE)
+        l1.fill(0, MESIState.EXCLUSIVE)
         assert l1.probe_hit(0, write=True) is not None
 
     def test_write_hit_on_modified(self, l1):
-        l1.insert(0, MESIState.MODIFIED)
+        l1.fill(0, MESIState.MODIFIED)
         assert l1.probe_hit(0, write=True) is not None
 
     def test_miss(self, l1):
@@ -35,30 +40,30 @@ class TestProbeHit:
 
 class TestInsert:
     def test_returns_victim_when_full(self, l1):
-        l1.insert(0, MESIState.SHARED)
-        l1.insert(2, MESIState.SHARED)  # same set (2 sets)
-        _entry, victim = l1.insert(4, MESIState.SHARED)
+        l1.fill(0, MESIState.SHARED)
+        l1.fill(2, MESIState.SHARED)  # same set (2 sets)
+        _entry, victim = l1.fill(4, MESIState.SHARED)
         assert victim is not None
         assert victim.line_addr == 0  # LRU
 
     def test_upgrade_in_place(self, l1):
-        l1.insert(0, MESIState.SHARED)
-        entry, victim = l1.insert(0, MESIState.MODIFIED)
+        l1.fill(0, MESIState.SHARED)
+        entry, victim = l1.fill(0, MESIState.MODIFIED)
         assert victim is None
         assert entry.state == MESIState.MODIFIED
         assert len(l1) == 1
 
     def test_victim_preserves_dirty_flag(self, l1):
-        entry, _ = l1.insert(0, MESIState.MODIFIED)
+        entry, _ = l1.fill(0, MESIState.MODIFIED)
         entry.dirty = True
-        l1.insert(2, MESIState.SHARED)
-        _entry, victim = l1.insert(4, MESIState.SHARED)
+        l1.fill(2, MESIState.SHARED)
+        _entry, victim = l1.fill(4, MESIState.SHARED)
         assert victim.dirty
 
 
 class TestInvalidate:
     def test_removes_line(self, l1):
-        l1.insert(0, MESIState.SHARED)
+        l1.fill(0, MESIState.SHARED)
         removed = l1.invalidate(0)
         assert removed is not None
         assert l1.lookup(0) is None
@@ -69,20 +74,98 @@ class TestInvalidate:
 
 class TestDowngrade:
     def test_modified_reports_dirty(self, l1):
-        entry, _ = l1.insert(0, MESIState.MODIFIED)
+        entry, _ = l1.fill(0, MESIState.MODIFIED)
         assert l1.downgrade(0) is True
         assert entry.state == MESIState.SHARED
         assert not entry.dirty
 
     def test_clean_exclusive_not_dirty(self, l1):
-        l1.insert(0, MESIState.EXCLUSIVE)
+        l1.fill(0, MESIState.EXCLUSIVE)
         assert l1.downgrade(0) is False
         assert l1.lookup(0).state == MESIState.SHARED
 
     def test_dirty_flag_reported(self, l1):
-        entry, _ = l1.insert(0, MESIState.EXCLUSIVE)
+        entry, _ = l1.fill(0, MESIState.EXCLUSIVE)
         entry.dirty = True
         assert l1.downgrade(0) is True
 
     def test_missing_line(self, l1):
         assert l1.downgrade(0) is False
+
+
+class _ArrayModel:
+    """The L1 as a plain array driven through lookup -> victim_for ->
+    remove -> insert: the reference ``fill``/``probe_hit`` must match."""
+
+    def __init__(self, geometry):
+        self.array = SetAssociativeCache(geometry, LRUPolicy())
+
+    def fill(self, line_addr, state):
+        existing = self.array.lookup(line_addr)
+        if existing is not None:
+            existing.state = state
+            self.array.touch(existing)
+            return existing, None
+        victim = self.array.victim_for(line_addr)
+        if victim is not None:
+            self.array.remove(victim.line_addr)
+        entry = L1Line(line_addr, state)
+        self.array.insert(entry)
+        return entry, victim
+
+    def probe_hit(self, line_addr, write):
+        entry = self.array.access(line_addr)
+        if entry is None or (write and not entry.state.writable):
+            return None
+        return entry
+
+    def invalidate(self, line_addr):
+        return self.array.remove(line_addr)
+
+
+def _view(entry):
+    if entry is None:
+        return None
+    return entry.line_addr, entry.state, entry.dirty, entry.last_use
+
+
+def _contents(cache):
+    return [[_view(entry) for entry in cache_set.values()] for cache_set in cache._sets]
+
+
+class TestAgainstArrayModel:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            CacheGeometry(sets=2, ways=2),
+            CacheGeometry(sets=4, ways=4),
+            CacheGeometry(sets=4, ways=2, index_shift=2),
+            CacheGeometry(sets=8, ways=4, index_shift=3),
+        ],
+        ids=["2x2", "4x4", "4x2-hashed", "8x4-hashed"],
+    )
+    def test_same_victims_recency_and_sets(self, geometry, seed):
+        rng = random.Random(seed)
+        l1 = L1Cache(geometry)
+        model = _ArrayModel(geometry)
+        states = list(MESIState)
+        for _ in range(3000):
+            line_addr = rng.randrange(geometry.sets * geometry.ways * 3)
+            op = rng.random()
+            if op < 0.45:
+                state = rng.choice(states)
+                got, want = l1.fill(line_addr, state), model.fill(line_addr, state)
+                assert [_view(e) for e in got] == [_view(e) for e in want]
+            elif op < 0.9:
+                write = rng.random() < 0.3
+                got = l1.probe_hit(line_addr, write)
+                assert _view(got) == _view(model.probe_hit(line_addr, write))
+                if got is not None and write:
+                    got.dirty = True
+                    model.array.lookup(line_addr).dirty = True
+            else:
+                assert _view(l1.invalidate(line_addr)) == _view(model.invalidate(line_addr))
+            assert l1._clock == model.array._clock
+        assert _contents(l1) == _contents(model.array)
+        assert len(l1) == len(model.array)

@@ -77,8 +77,8 @@ class TestCounts:
         assert llc.utilization() == pytest.approx(1 / 8)
 
 
-class TestSetEntries:
-    def test_passes_through_to_the_array(self):
+class TestHashedIndex:
+    def test_set_entries_and_typed_lookups(self):
         geometry = CacheGeometry(sets=4, ways=4, index_shift=2)
         llc = LLCSlice(0, geometry, ModifiedLRUPolicy())
         entries = [_home(0), _replica(5), _home(10), _replica(15), _home(1)]
@@ -88,3 +88,8 @@ class TestSetEntries:
         same_set = [e for e in entries if geometry.set_index(e.line_addr) == target]
         assert len(same_set) > 1
         assert llc.set_entries(0) == same_set
+        for entry in entries:
+            typed = llc.home if isinstance(entry, HomeEntry) else llc.replica
+            other = llc.replica if isinstance(entry, HomeEntry) else llc.home
+            assert typed(entry.line_addr) is entry
+            assert other(entry.line_addr) is None

@@ -1,11 +1,19 @@
 """SimStats: counters, breakdowns and derived metrics."""
 
+import json
+import pickle
+from collections import Counter
+
 import pytest
 
 from repro.common.types import MissStatus
 from repro.energy.model import EnergyModel, EnergyParams
+from repro.experiments.runner import RunResult
+from repro.experiments.store import decode_result, encode_result
 from repro.sim import stats as stat_names
-from repro.sim.stats import LATENCY_BUCKETS, SimStats, merge_counters
+from repro.sim.stats import LATENCY_BUCKETS, SimStats, Tally
+
+STAT_MAPS = ("counters", "energy_counts", "latency", "miss_status")
 
 
 @pytest.fixture
@@ -86,15 +94,65 @@ class TestSummary:
         }
 
 
-class TestMergeCounters:
-    def test_merge(self):
-        merged = merge_counters({"a": 1, "b": 2}, {"b": 3, "c": 4})
-        assert merged == {"a": 1, "b": 5, "c": 4}
+def _filled(stats):
+    stats.bump("l1d_misses", 3)
+    stats.energy_event("dram_read", 2)
+    stats.add_latency(stat_names.COMPUTE, 12.5)
+    stats.record_miss(MissStatus.OFF_CHIP_MISS)
+    stats.completion_time = 42.0
+    return stats
+
+
+class TestTally:
+    def test_fresh_stats_hold_tallies(self, stats):
+        for name in STAT_MAPS:
+            assert type(getattr(stats, name)) is Tally
+
+    def test_store_loaded_stats_hold_tallies(self, stats):
+        result = RunResult("RT-3", "DEDUP", _filled(stats), {"dram": 1.0})
+        loaded = decode_result(json.loads(json.dumps(encode_result(result)))).stats
+        for name in STAT_MAPS:
+            assert type(getattr(loaded, name)) is Tally
+            assert getattr(loaded, name) == getattr(stats, name)
+
+    def test_missing_key_reads_zero_without_insert(self):
+        tally = Tally()
+        assert tally["absent"] == 0
+        assert "absent" not in tally
+        tally["present"] += 2
+        assert dict(tally) == {"present": 2}
+
+    def test_equality_ignores_zero_counts_both_ways(self):
+        tally = Tally(a=1, b=0)
+        counter = Counter(a=1, c=0)
+        assert tally == counter
+        assert counter == tally
+        assert tally != Counter(a=2)
+
+    def test_counter_behaviour_kept(self):
+        tally = Tally(a=3, b=1)
+        assert tally.most_common(1) == [("a", 3)]
+        assert tally + Counter(b=1) == Counter(a=3, b=2)
+        del tally["a"]
+        assert dict(tally) == {"b": 1}
+        with pytest.raises(KeyError):
+            del tally["a"]
+
+    def test_pickle_round_trip_keeps_type_and_contents(self, stats):
+        restored = pickle.loads(pickle.dumps(_filled(stats)))
+        for name in STAT_MAPS:
+            assert type(getattr(restored, name)) is Tally
+            assert dict(getattr(restored, name)) == dict(getattr(stats, name))
+
+    def test_stores_use_the_dict_slot(self):
+        # Counter's Python __delitem__ would force every item store
+        # through a Python-level slot wrapper.
+        assert Tally.__delitem__ is dict.__delitem__
+        assert Tally.__setitem__ is dict.__setitem__
 
 
 class TestSerialization:
     def test_to_dict_is_json_serializable(self, stats):
-        import json
         stats.record_miss(MissStatus.LLC_HOME_HIT)
         stats.energy_event("dram_read", 2)
         stats.add_latency(stat_names.COMPUTE, 12)
