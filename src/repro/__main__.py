@@ -86,6 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="repro command-line interface.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
+    # Help-only entries: main() hands these groups' argv to their own CLIs.
+    groups.add_parser("experiments", help="figures, tables and the distributed service")
+    groups.add_parser("testing", help="kernel verification and fuzzing")
 
     trace = groups.add_parser("trace", help="real-trace ingestion pipeline")
     commands = trace.add_subparsers(dest="command", required=True)

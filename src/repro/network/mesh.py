@@ -16,11 +16,16 @@ block frontier traffic on an idle link, producing runaway feedback).
 Implementation: ``send`` sits on the miss path of every simulation
 kernel, so every XY route is precomputed when the mesh is built, as a
 tuple of integer link ids, and each link's epoch index and flit load
-live in two flat lists indexed by link id.
+live in two flat lists indexed by link id.  The queueing delay depends
+only on a link's prior load, so it is tabulated per ``flits`` value by
+the same expression (loads past the clamp read the clamped entry).  A
+message recomputes its epoch only when its head crosses the next epoch
+boundary: for non-negative times ``int(now) // E > e`` iff ``now >= (e + 1) * E``.
 
 Energy accounting counts router traversals and link traversals per flit;
 the energy model charges them separately (Figure 6 splits "Network
-Router" and "Network Link").
+Router" and "Network Link"); both, and the flit total, are derived
+from one tally of flits per route length.
 """
 
 from __future__ import annotations
@@ -70,12 +75,28 @@ class Mesh:
         #: flits it carried in that window.
         self._link_epochs = [-1] * num_links
         self._link_flits = [0] * num_links
+        #: ``flits -> delay table``, each built by its first send.
+        self._delay_tables: dict[int, list[float]] = {}
+        #: A load past the utilization clamp: larger loads pay its delay.
+        self._clamp_load = int(self.MAX_UTILIZATION * self.CONTENTION_EPOCH) + 1
+        #: ``_flits_by_hops[h]``: flits sent over routes of ``h`` hops.
+        self._flits_by_hops = [0] * (2 * self.topology.side - 1)
         # -- counters consumed by the energy model --------------------------
-        self.router_flit_traversals = 0
-        self.link_flit_traversals = 0
         self.messages_sent = 0
-        self.total_flits = 0
         self.total_queueing_delay = 0.0
+
+    @property
+    def total_flits(self) -> int:
+        return sum(self._flits_by_hops)
+
+    @property
+    def link_flit_traversals(self) -> int:
+        return sum(hops * flits for hops, flits in enumerate(self._flits_by_hops))
+
+    @property
+    def router_flit_traversals(self) -> int:
+        """A routed message crosses ``hops + 1`` routers, a local one none."""
+        return self.link_flit_traversals + self.total_flits - self._flits_by_hops[0]
 
     def control_flits(self) -> int:
         """Flits in an address-only message (invalidation, ack, request)."""
@@ -85,12 +106,24 @@ class Mesh:
         """Flits in a message carrying a full cache line."""
         return self.config.header_flits + self.config.cache_line_flits
 
+    def _delay_table(self, flits: int) -> list[float]:
+        """Build and keep the queueing delay of a ``flits`` message by the
+        link's prior load (``0 ..`` the clamp load): ``flits * u / (1 - u)``
+        at ``u = load / CONTENTION_EPOCH``, capped at ``MAX_UTILIZATION``."""
+        utilizations = [
+            min(load / self.CONTENTION_EPOCH, self.MAX_UTILIZATION)
+            for load in range(self._clamp_load + 1)
+        ]
+        table = [flits * utilization / (1.0 - utilization) for utilization in utilizations]
+        self._delay_tables[flits] = table
+        return table
+
     def send(self, src: int, dst: int, flits: int, depart: float) -> float:
         """Send a message; returns the arrival time of the tail flit.
 
-        Accumulates per-link load for the contention model and the
-        router/link energy event counts.  ``src == dst`` is a local
-        operation: free and instantaneous.
+        Accumulates per-link load for the contention model and the flit
+        tally the router/link energy counts derive from.  ``src == dst``
+        is a local operation: free and instantaneous.
 
         Each link on the route charges a queueing delay from the flits it
         already carried in the current epoch (a stale timestamp behind the
@@ -98,19 +131,25 @@ class Mesh:
         latency, advances the head flit.
         """
         self.messages_sent += 1
-        self.total_flits += flits
-        if src == dst:
-            return depart
         route = self._routes[src][dst]
+        hops = len(route)
+        self._flits_by_hops[hops] += flits
+        if not hops:
+            return depart
+        table = self._delay_tables.get(flits) or self._delay_table(flits)
+        clamp = self._clamp_load
         epochs = self._link_epochs
         loads = self._link_flits
         epoch_cycles = self.CONTENTION_EPOCH
-        max_utilization = self.MAX_UTILIZATION
         hop_latency = self._hop_latency
         queueing = self.total_queueing_delay
         now = depart
+        epoch = int(now) // epoch_cycles
+        boundary = (epoch + 1) * epoch_cycles
         for link in route:
-            epoch = int(now) // epoch_cycles
+            if now >= boundary:
+                epoch = int(now) // epoch_cycles
+                boundary = (epoch + 1) * epoch_cycles
             if epoch > epochs[link]:
                 epochs[link] = epoch
                 loads[link] = flits
@@ -118,19 +157,10 @@ class Mesh:
             else:
                 prior_load = loads[link]
                 loads[link] = prior_load + flits
-                if prior_load > 0:
-                    utilization = prior_load / epoch_cycles
-                    if utilization > max_utilization:
-                        utilization = max_utilization
-                    delay = flits * utilization / (1.0 - utilization)
-                    queueing += delay
-                else:
-                    delay = 0.0
+                delay = table[prior_load if prior_load < clamp else clamp]
+                queueing += delay
             now += delay + hop_latency
         self.total_queueing_delay = queueing
-        hops = len(route)
-        self.router_flit_traversals += flits * (hops + 1)
-        self.link_flit_traversals += flits * hops
         # Tail flit trails the head by (flits - 1) cycles of serialization.
         return now + (flits - 1)
 

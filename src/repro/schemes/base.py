@@ -34,7 +34,6 @@ from repro.cache.entries import HomeEntry, L1Line, ReplicaEntry
 from repro.cache.l1 import L1Cache
 from repro.cache.llc import LLCSlice
 from repro.cache.replacement import make_policy
-from repro.coherence.mesi import read_grant_state
 from repro.coherence.sharers import make_sharer_tracker
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType, MESIState, MissStatus
@@ -45,6 +44,15 @@ from repro.network.mesh import Mesh
 from repro.placement.base import Placement, StaticNuca
 from repro.sim import stats as stat_names
 from repro.sim.stats import SimStats
+
+# Enum members as module names for the miss path: on Python 3.11 a
+# ``MESIState.X`` read goes through ``EnumType.__getattr__``'s slot wrapper.
+SHARED = MESIState.SHARED
+EXCLUSIVE = MESIState.EXCLUSIVE
+MODIFIED = MESIState.MODIFIED
+LLC_REPLICA_HIT = MissStatus.LLC_REPLICA_HIT
+LLC_HOME_HIT = MissStatus.LLC_HOME_HIT
+OFF_CHIP_MISS = MissStatus.OFF_CHIP_MISS
 
 
 @dataclasses.dataclass(slots=True)
@@ -111,6 +119,10 @@ class ProtocolEngine:
         self.dram = DramSystem(config)
         self.placement = self.make_placement()
         self.stats = SimStats(config.num_cores)
+        # The miss path writes these directly; ``stats`` is never reassigned.
+        self._counters = self.stats.counters
+        self._energy_counts = self.stats.energy_counts
+        self._latency = self.stats.latency
         #: Per-(home, line) serialization: requests to the same line queue.
         self._line_busy: dict[tuple[int, int], float] = {}
         #: Current home slice per data line (R-NUCA rehoming support).
@@ -715,20 +727,17 @@ class ProtocolEngine:
         """Whether the home-request read path is the base implementation.
 
         The vector kernel's inline home-hit arm re-implements the no-mesh
-        read case of :meth:`_home_request` / :meth:`_home_access` /
-        :meth:`_service_read`; any override must disable it.
+        read case of :meth:`_home_request` (home resolution and the
+        directory and data actions included) and :meth:`_service_read`;
+        any override must disable it.
         """
         cls = type(self)
         return not (
             "_home_request" in self.__dict__
-            or "_home_access" in self.__dict__
             or "_service_read" in self.__dict__
-            or "_resolve_home" in self.__dict__
             or "_home_of_cached_line" in self.__dict__
             or cls._home_request is not ProtocolEngine._home_request
-            or cls._home_access is not ProtocolEngine._home_access
             or cls._service_read is not ProtocolEngine._service_read
-            or cls._resolve_home is not ProtocolEngine._resolve_home
             or cls._home_of_cached_line is not ProtocolEngine._home_of_cached_line
         )
 
@@ -1265,14 +1274,12 @@ class ProtocolEngine:
         """
         hit, probe_cost = self.local_lookup(core, line_addr, write, is_ifetch, now)
         if probe_cost:
-            self.stats.add_latency(stat_names.L1_TO_LLC_REPLICA, probe_cost)
+            self._latency[stat_names.L1_TO_LLC_REPLICA] += probe_cost
         if hit is not None:
-            self.stats.bump("llc_replica_hits")
+            self._counters["llc_replica_hits"] += 1
             if self.observer is not None:
                 self.observer.on_replica_access(core, line_addr, write)
-            return (
-                probe_cost + hit.latency, MissStatus.LLC_REPLICA_HIT, hit.state, hit.dirty
-            )
+            return probe_cost + hit.latency, LLC_REPLICA_HIT, hit.state, hit.dirty
         total, status, grant = self._home_request(
             core, line_addr, write, is_ifetch, now + probe_cost
         )
@@ -1285,31 +1292,65 @@ class ProtocolEngine:
 
         Returns ``(latency, status, granted_state)``.
 
-        This is the head of the miss path, hot for every kernel, so the
-        per-transaction ``self`` attribute chains are bound to locals up
-        front (``make_fast_access``-style specialization carried into the
-        miss path; the mesh's ``send`` fast path below is shared by the
-        fast and batched kernels through these bindings).
+        One frame, hot for every kernel, runs the whole transaction: home
+        resolution (R-NUCA rehoming included), the request, per-line
+        serialization, the directory and data actions at the home (off-chip
+        fetch, :meth:`_service_read` / :meth:`_service_write`) and the
+        response.
         """
+        placement = self.placement
+        counters = self._counters
+        energy_counts = self._energy_counts
+        latency_buckets = self._latency
         mesh_send = self.mesh.send
-        latency_buckets = self.stats.latency
-        line_busy = self._line_busy
+        config = self.config
 
-        self.placement.observe_access(line_addr, core, is_ifetch)
-        home = self._resolve_home(core, line_addr, is_ifetch, now)
+        placement.observe_access(line_addr, core, is_ifetch)
+        home = placement.home_for(line_addr, core, is_ifetch)
+        # Per-cluster instruction copies are independent read-only homes.
+        if not (is_ifetch and placement.homes_depend_on_requester):
+            active_home = self._active_home
+            current = active_home.get(line_addr)
+            if current is not None and current != home:
+                self._migrate_home(line_addr, current, home, now)
+                counters["rehomings"] += 1
+            active_home[line_addr] = home
 
         request_arrive = mesh_send(core, home, self._control_flits, now) \
             if home != core else now
 
+        line_busy = self._line_busy
         busy_key = (home, line_addr)
         busy_until = line_busy.get(busy_key, 0.0)
         wait = busy_until - request_arrive if busy_until > request_arrive else 0.0
         latency_buckets[stat_names.LLC_HOME_WAITING] += wait
         t = request_arrive + wait
 
-        t, status, grant, sharer_latency, offchip_latency = self._home_access(
-            home, core, line_addr, write, is_ifetch, t
-        )
+        llc = self.slices[home]
+        energy_counts[energy_events.LLC_TAG_READ] += 1
+        energy_counts[energy_events.DIR_READ] += 1
+        t += config.llc_tag_latency
+        entry = llc.home(line_addr)
+        if entry is None:
+            status = OFF_CHIP_MISS
+            counters["offchip_misses"] += 1
+            entry, offchip_latency = self._fetch_from_dram(home, line_addr, t)
+            t += offchip_latency
+        else:
+            status = LLC_HOME_HIT
+            counters["llc_home_hits"] += 1
+            llc.touch(entry)
+            offchip_latency = 0.0
+        if self.observer is not None:
+            self.observer.on_llc_home_access(core, line_addr, write)
+        if write:
+            grant, sharer_latency = self._service_write(home, core, entry, t)
+        else:
+            grant, sharer_latency = self._service_read(home, core, entry, is_ifetch, t)
+        t += sharer_latency
+        energy_counts[energy_events.LLC_DATA_READ] += 1
+        energy_counts[energy_events.DIR_WRITE] += 1
+        t += config.llc_data_latency
         line_busy[busy_key] = t
 
         response_arrive = mesh_send(home, core, self._data_flits, t) \
@@ -1324,60 +1365,22 @@ class ProtocolEngine:
         latency_buckets[stat_names.LLC_HOME_TO_OFFCHIP] += offchip_latency
         return total, status, grant
 
-    def _home_access(
-        self, home: int, core: int, line_addr: int, write: bool, is_ifetch: bool, t: float
-    ) -> tuple[float, MissStatus, MESIState, float, float]:
-        """Directory + data actions at the home slice.
-
-        Returns ``(finish_time, status, granted_state, sharer_latency,
-        offchip_latency)``.
-        """
-        llc = self.slices[home]
-        self.stats.energy_event(energy_events.LLC_TAG_READ)
-        self.stats.energy_event(energy_events.DIR_READ)
-        t += self.config.llc_tag_latency
-
-        entry = llc.home(line_addr)
-        offchip_latency = 0.0
-        if entry is None:
-            status = MissStatus.OFF_CHIP_MISS
-            self.stats.bump("offchip_misses")
-            entry, fetch_latency = self._fetch_from_dram(home, line_addr, t)
-            offchip_latency = fetch_latency
-            t += fetch_latency
-        else:
-            status = MissStatus.LLC_HOME_HIT
-            self.stats.bump("llc_home_hits")
-            llc.touch(entry)
-
-        if self.observer is not None:
-            self.observer.on_llc_home_access(core, line_addr, write)
-
-        sharer_latency = 0.0
-        if write:
-            grant, sharer_latency = self._service_write(home, core, entry, t)
-        else:
-            grant, sharer_latency = self._service_read(home, core, entry, is_ifetch, t)
-        t += sharer_latency
-
-        self.stats.energy_event(energy_events.LLC_DATA_READ)
-        self.stats.energy_event(energy_events.DIR_WRITE)
-        t += self.config.llc_data_latency
-        return t, status, grant, sharer_latency, offchip_latency
-
     def _service_read(
         self, home: int, core: int, entry: HomeEntry, is_ifetch: bool, t: float
     ) -> tuple[MESIState, float]:
         """Read at the home: downgrade any remote owner, grant S/E."""
         sharer_latency = 0.0
-        if entry.owner is not None and entry.owner != core:
+        owner = entry.owner
+        if owner is not None and owner != core:
             sharer_latency = self._downgrade_owner(home, entry, t)
         sharers = entry.sharers
         only_sharer = sharers.count == (1 if core in sharers else 0)
         sharers.add(core)
-        grant = read_grant_state(1 if only_sharer else sharers.count)
-        if grant == MESIState.EXCLUSIVE:
+        if only_sharer:
+            grant = EXCLUSIVE
             entry.owner = core
+        else:  # at least two sharers now
+            grant = SHARED
         replicate = self.should_replicate(entry, core, False, is_ifetch, only_sharer)
         if replicate and self.replica_would_help(home, core, entry.line_addr):
             self.create_replica(core, entry.line_addr, grant, False, is_ifetch, t)
@@ -1391,14 +1394,14 @@ class ProtocolEngine:
         only_sharer = sharers.count == (1 if core in sharers else 0)
         sharer_latency = self._invalidate_for_write(home, core, entry, t)
         replicate = self.should_replicate(entry, core, True, False, only_sharer)
-        entry.sharers.clear()
-        entry.sharers.add(core)
+        sharers.clear()
+        sharers.add(core)
         entry.owner = core
-        entry.state = MESIState.MODIFIED
+        entry.state = MODIFIED
         entry.dirty = True
         if replicate and self.replica_would_help(home, core, entry.line_addr):
-            self.create_replica(core, entry.line_addr, MESIState.MODIFIED, True, False, t)
-        return MESIState.MODIFIED, sharer_latency
+            self.create_replica(core, entry.line_addr, MODIFIED, True, False, t)
+        return MODIFIED, sharer_latency
 
     def _invalidate_for_write(
         self, home: int, writer: int, entry: HomeEntry, t: float
@@ -1499,24 +1502,29 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     def _fetch_from_dram(self, home: int, line_addr: int, t: float) -> tuple[HomeEntry, float]:
         """Fetch a line from memory and install the home entry."""
-        self._make_room(home, line_addr, t)
+        llc = self.slices[home]
+        victim = llc.victim_for(line_addr)
+        if victim is not None:
+            self.evict_slice_entry(home, victim, t)
         controller, _, dram_latency = self.dram.read(line_addr, t)
         ctrl_core = controller.core_id
-        request_arrive = self.mesh.send(home, ctrl_core, self._control_flits, t) \
-            if ctrl_core != home else t
-        response = self.mesh.send(
-            ctrl_core, home, self._data_flits, request_arrive + dram_latency
-        ) if ctrl_core != home else request_arrive + dram_latency
-        self.stats.energy_event(energy_events.DRAM_READ)
+        if ctrl_core != home:
+            request_arrive = self.mesh.send(home, ctrl_core, self._control_flits, t)
+            response = self.mesh.send(
+                ctrl_core, home, self._data_flits, request_arrive + dram_latency)
+        else:
+            response = t + dram_latency
+        energy_counts = self._energy_counts
+        energy_counts[energy_events.DRAM_READ] += 1
         entry = HomeEntry(
             line_addr,
             make_sharer_tracker(self.config.num_cores, self.config.ackwise_pointers),
-            state=MESIState.SHARED,
+            SHARED,
         )
         entry.classifier = self._new_classifier_state()
-        self.slices[home].insert(entry)
-        self.stats.energy_event(energy_events.LLC_TAG_WRITE)
-        self.stats.energy_event(energy_events.LLC_DATA_WRITE)
+        llc.insert(entry)
+        energy_counts[energy_events.LLC_TAG_WRITE] += 1
+        energy_counts[energy_events.LLC_DATA_WRITE] += 1
         return entry, response - t
 
     def _new_classifier_state(self):
@@ -1617,14 +1625,14 @@ class ProtocolEngine:
         if dirty:
             entry.dirty = True
         if write:
-            entry.state = MESIState.MODIFIED
+            entry.state = MODIFIED
             entry.dirty = True
         self._l1_energy(is_ifetch, read=False)
         replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
         if replica is not None:
             replica.l1_copy = True
         if victim is not None:
-            self.stats.bump("l1_evictions")
+            self._counters["l1_evictions"] += 1
             self.handle_l1_eviction(core, victim, is_ifetch, now)
 
     def _notify_home_of_l1_eviction(
@@ -1633,16 +1641,16 @@ class ProtocolEngine:
         """Default L1-victim path: merge into a local replica if one exists,
         otherwise acknowledge (and write back) to the home (Section 2.2.3)."""
         line_addr = victim.line_addr
-        dirty = victim.dirty or victim.state == MESIState.MODIFIED
+        dirty = victim.dirty or victim.state == MODIFIED
         replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
         if replica is not None:
             # Dirty data merges into the replica; the core remains a sharer.
             replica.l1_copy = False
             if dirty:
                 replica.dirty = True
-                if replica.state.writable:
-                    replica.state = MESIState.MODIFIED
-                self.stats.energy_event(energy_events.LLC_DATA_WRITE)
+                if replica.state >= EXCLUSIVE:
+                    replica.state = MODIFIED
+                self._energy_counts[energy_events.LLC_DATA_WRITE] += 1
             return
         home = self._home_of_cached_line(core, line_addr, is_ifetch)
         flits = self._data_flits if dirty else self._control_flits
@@ -1653,27 +1661,15 @@ class ProtocolEngine:
             home_entry.sharers.remove(core)
             if home_entry.owner == core:
                 home_entry.owner = None
-                home_entry.state = MESIState.SHARED
+                home_entry.state = SHARED
             if dirty:
                 home_entry.dirty = True
-                self.stats.energy_event(energy_events.LLC_DATA_WRITE)
-            self.stats.energy_event(energy_events.DIR_WRITE)
+                self._energy_counts[energy_events.LLC_DATA_WRITE] += 1
+            self._energy_counts[energy_events.DIR_WRITE] += 1
 
     # ------------------------------------------------------------------
     # Home resolution and migration (R-NUCA support)
     # ------------------------------------------------------------------
-    def _resolve_home(self, core: int, line_addr: int, is_ifetch: bool, now: float) -> int:
-        desired = self.placement.home_for(line_addr, core, is_ifetch)
-        if is_ifetch and self.placement.homes_depend_on_requester:
-            # Per-cluster instruction copies are independent read-only homes.
-            return desired
-        current = self._active_home.get(line_addr)
-        if current is not None and current != desired:
-            self._migrate_home(line_addr, current, desired, now)
-            self.stats.bump("rehomings")
-        self._active_home[line_addr] = desired
-        return desired
-
     def _migrate_home(self, line_addr: int, old_home: int, new_home: int, now: float) -> None:
         """R-NUCA private→shared transition: flush the line from its old home."""
         entry = self.slices[old_home].home(line_addr)
@@ -1724,9 +1720,10 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     def _l1_energy(self, is_ifetch: bool, read: bool) -> None:
         if is_ifetch:
-            self.stats.energy_event(energy_events.L1I_READ if read else energy_events.L1I_WRITE)
+            event = energy_events.L1I_READ if read else energy_events.L1I_WRITE
         else:
-            self.stats.energy_event(energy_events.L1D_READ if read else energy_events.L1D_WRITE)
+            event = energy_events.L1D_READ if read else energy_events.L1D_WRITE
+        self._energy_counts[event] += 1
 
     def finalize(self) -> None:
         """Fold network/DRAM hardware counters into the energy counts."""

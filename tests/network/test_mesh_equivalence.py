@@ -1,11 +1,12 @@
-"""The flat-array ``Mesh.send`` against the dict-of-tuples contention formula.
+"""The table-driven ``Mesh.send`` against the dict-of-tuples contention formula.
 
 ``DictMesh`` below keeps the straightforward form of the contention model:
-routes re-walked through :meth:`MeshTopology.route`, and per-link
-``(epoch, flits)`` tuples in a dict keyed by the ``(from, to)`` link.
-Random message sequences, with out-of-order departures, epoch crossings
-and local (``src == dst``) sends, must produce exactly the same arrival
-times and counters from both.
+routes re-walked through :meth:`MeshTopology.route`, per-link ``(epoch,
+flits)`` tuples in a dict keyed by the ``(from, to)`` link, the epoch and
+the queueing delay recomputed on every hop, and counters summed eagerly.
+Random message sequences, with out-of-order departures, epoch crossings,
+message sizes first seen late and local (``src == dst``) sends, must
+produce exactly the same arrival times and counters from both.
 """
 
 import random
@@ -100,6 +101,18 @@ def message_lists(num_cores):
     )
 
 
+def late_flits_lists(num_cores):
+    """Messages of 1 and 9 flits, then messages of a size (5) the mesh
+    first sees late in the run, mixed with the earlier sizes."""
+    core = st.integers(min_value=0, max_value=num_cores - 1)
+    depart = st.floats(min_value=0, max_value=3 * Mesh.CONTENTION_EPOCH)
+
+    def messages(sizes):
+        return st.lists(st.tuples(core, core, st.sampled_from(sizes), depart), max_size=60)
+
+    return st.tuples(messages([1, 9]), messages([5, 1, 9])).map(lambda parts: parts[0] + parts[1])
+
+
 class TestMeshEquivalence:
     @given(messages=message_lists(16))
     @settings(max_examples=80, deadline=None)
@@ -128,3 +141,62 @@ class TestMeshEquivalence:
         reference = assert_equivalent(config, messages)
         clamp_load = Mesh.MAX_UTILIZATION * Mesh.CONTENTION_EPOCH
         assert reference.peak_load > clamp_load
+
+    @pytest.mark.parametrize("machine", sorted(CONFIGS))
+    def test_head_lands_exactly_on_an_epoch_boundary(self, machine):
+        """A head reaching ``(e + 1) * E`` mid-route is in the next epoch:
+        the loaded second link must reset, not charge its old load."""
+        config = CONFIGS[machine]
+        depart = Mesh.CONTENTION_EPOCH - config.hop_latency
+        messages = [(1, 2, 9, 0.0)] * 5 + [(0, 3, 9, depart), (0, 3, 9, float(depart))]
+        assert_equivalent(config, messages)
+
+    @given(messages=late_flits_lists(16))
+    @settings(max_examples=60, deadline=None)
+    def test_message_size_first_seen_late(self, messages):
+        assert_equivalent(CONFIGS["small"], messages)
+
+    @pytest.mark.parametrize("machine", sorted(CONFIGS))
+    def test_only_local_sends(self, machine):
+        config = CONFIGS[machine]
+        messages = [(core, core, flits, 7.0 * core)
+                    for core in range(config.num_cores) for flits in (1, 5, 9)]
+        reference = assert_equivalent(config, messages)
+        assert reference.total_flits == 15 * config.num_cores
+        assert reference.router_flit_traversals == reference.link_flit_traversals == 0
+        assert reference.total_queueing_delay == 0.0
+
+
+class TestDelayTable:
+    @pytest.mark.parametrize("flits", [1, 2, 9])
+    def test_entries_match_the_reference_formula(self, flits):
+        """Every prior load from 0 to past the clamp charges exactly the
+        delay ``DictMesh.link_delay`` computes for it."""
+        mesh = Mesh(CONFIGS["small"])
+        table = mesh._delay_table(flits)
+        clamp = len(table) - 1
+        assert clamp / Mesh.CONTENTION_EPOCH > Mesh.MAX_UTILIZATION
+        for prior_load in range(clamp + 4):
+            reference = DictMesh(CONFIGS["small"])
+            reference.link_load[(0, 1)] = (0, prior_load)
+            expected = reference.link_delay((0, 1), flits, 0.0)
+            assert table[min(prior_load, clamp)] == expected, prior_load
+
+    def test_derived_counters_equal_eager_sums(self):
+        """On the 64-core paper mesh, the counters derived from the
+        per-hop-count tally equal sums accumulated message by message."""
+        config = CONFIGS["paper"]
+        mesh = Mesh(config)
+        rng = random.Random(15)
+        router = link = total = 0
+        for _ in range(3000):
+            src, dst = rng.randrange(64), rng.randrange(64)
+            flits = rng.choice((1, 5, 9))
+            mesh.send(src, dst, flits, rng.uniform(0.0, 2000.0))
+            hops = mesh.topology.hops(src, dst)
+            total += flits
+            link += flits * hops
+            router += flits * (hops + 1) if hops else 0
+        assert (mesh.total_flits, mesh.link_flit_traversals, mesh.router_flit_traversals) == (
+            total, link, router)
+        assert mesh.messages_sent == 3000

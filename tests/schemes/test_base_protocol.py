@@ -4,6 +4,8 @@ import pytest
 
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType, MESIState, MissStatus
+from repro.network.mesh import Mesh
+from repro.schemes.base import ProtocolEngine
 from repro.schemes.snuca import SNucaScheme
 from tests.helpers import check_coherence, drive, read, write
 
@@ -190,3 +192,28 @@ class TestLatencyAccounting:
         engine.access(1, AccessType.READ, 5, 1000.0)
         engine.access(2, AccessType.READ, 5, 1000.0)
         assert engine.stats.latency[stat_names.LLC_HOME_WAITING] > 0
+
+
+class TestMissPathDispatchTax:
+    """The miss path writes the stats maps directly and reads enum members
+    as module names (a ``MESIState.X`` read goes through
+    ``EnumType.__getattr__``'s slot wrapper on Python 3.11).  This keeps a
+    well-meant cleanup from bringing the slower spellings back."""
+
+    SLOW_NAMES = {"MESIState", "MissStatus", "bump", "energy_event", "add_latency", "stats"}
+
+    @pytest.mark.parametrize("function", [
+        ProtocolEngine._home_request,
+        ProtocolEngine._handle_l1_miss,
+        ProtocolEngine._service_read,
+        ProtocolEngine._fetch_from_dram,
+        ProtocolEngine._fill_l1,
+        ProtocolEngine._notify_home_of_l1_eviction,
+        Mesh.send,
+    ], ids=lambda function: function.__qualname__)
+    def test_no_slow_lookups(self, function):
+        assert self.SLOW_NAMES.isdisjoint(function.__code__.co_names)
+
+    def test_home_transaction_is_one_frame(self):
+        assert not hasattr(ProtocolEngine, "_home_access")
+        assert not hasattr(ProtocolEngine, "_resolve_home")

@@ -222,6 +222,14 @@ class TestForwarding:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_help_lists_every_group(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        for group in ("experiments", "testing", "trace"):
+            assert group in out
+
 
 class TestFixtureRoundTripExactness:
     def test_csv_fixture_reimports_identically(self, tmp_path):
