@@ -2,7 +2,7 @@
 
 Each benchmark regenerates one of the paper's tables or figures at a
 reduced scale (small machine, shortened traces, benchmark subsets) so
-the whole suite completes in minutes; the ``python -m repro.experiments``
+the whole suite completes in minutes; the ``python -m repro experiments``
 CLI regenerates everything at any scale.  Benchmarks print the rendered
 table so ``pytest benchmarks/ --benchmark-only -s`` reproduces the
 paper's rows verbatim.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.params import MachineConfig
+from repro.experiments.comparison import run_comparison
 from repro.experiments.runner import ExperimentSetup
 
 #: A representative benchmark subset spanning the paper's behaviour
@@ -30,3 +31,11 @@ BENCH_SCALE = 0.5
 @pytest.fixture(scope="session")
 def setup() -> ExperimentSetup:
     return ExperimentSetup(MachineConfig.small(), scale=BENCH_SCALE, seed=1)
+
+
+@pytest.fixture(scope="session")
+def comparison_results(setup):
+    """The seven-scheme Figures 6-8 grid over :data:`SUBSET`, simulated
+    once per session: the headline summary and all three figures read
+    the same runs, exactly as in the paper."""
+    return run_comparison(setup, benchmarks=SUBSET)

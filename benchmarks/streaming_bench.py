@@ -7,8 +7,7 @@ phase, so each phase's ``resource.getrusage`` peak RSS is isolated
 (``ru_maxrss`` is process-lifetime-max — in-process phases would
 contaminate each other).  Phases::
 
-    streamed fast      --+
-    streamed batched   --+-- peak RSS must stay under --rss-cap-mib
+    streamed fast            -- peak RSS must stay under --rss-cap-mib
     materialized reference   (no cap: the low-memory unchunked kernel,
                               the ground truth the digests diff against)
 
@@ -16,9 +15,9 @@ The run FAILS (exit 1) when any ``stats_sha256`` diverges or a streamed
 phase exceeds the RSS cap; both are hard acceptance contracts of the
 streaming pipeline, not advisory trends.  Per-kernel streamed ==
 materialized identity at full kernel coverage is enforced by the tier-1
-suite (``tests/sim/test_streaming_exec.py``); this script scales two
-streamed kernels to giga-trace length where materializing *boxed*
-kernels would not fit the cap.
+suite (``tests/sim/test_streaming_exec.py``); this script scales the
+streamed window loop to giga-trace length, where materializing the
+fast kernel's *boxed* views would not fit the cap.
 
 The fixture mixes a small L1-resident hot set into a 64K-line footprint
 (``hot_fraction=0.95``) so the run exercises the streaming machinery at
@@ -55,7 +54,6 @@ FIXTURE = {
 
 PHASES = (
     {"name": "streamed-fast", "kernel": "fast", "stream": True},
-    {"name": "streamed-batched", "kernel": "batched", "stream": True},
     {"name": "materialized-reference", "kernel": "reference", "stream": False},
 )
 

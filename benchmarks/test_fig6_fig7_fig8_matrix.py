@@ -1,12 +1,12 @@
 """Figures 6, 7 and 8: the seven-scheme comparison matrix.
 
 One matrix of runs feeds all three figures, exactly as in the paper;
-the three tests share it through a module-scoped cache so the benchmark
-timings reflect each figure's own assembly cost.
+the three tests share it (and the headline summary) through the
+session-scoped ``comparison_results`` fixture, so the benchmark timings
+reflect each figure's own assembly cost.
 """
 
 import pytest
-from conftest import SUBSET
 
 from repro.experiments.comparison import (
     average_row,
@@ -15,21 +15,11 @@ from repro.experiments.comparison import (
     fig8_miss_breakdown,
     render_miss_table,
     render_normalized_table,
-    run_comparison,
 )
 
-_matrix_cache = {}
 
-
-def _matrix(setup):
-    if "results" not in _matrix_cache:
-        _matrix_cache["results"] = run_comparison(setup, benchmarks=SUBSET)
-    return _matrix_cache["results"]
-
-
-def test_fig6_energy(benchmark, setup):
-    results = _matrix(setup)
-    table = benchmark.pedantic(fig6_energy, args=(results,), rounds=1, iterations=1)
+def test_fig6_energy(benchmark, comparison_results):
+    table = benchmark.pedantic(fig6_energy, args=(comparison_results,), rounds=1, iterations=1)
     print()
     print(render_normalized_table(table, "Figure 6: Energy (normalized to S-NUCA)"))
     for row in table.values():
@@ -39,19 +29,17 @@ def test_fig6_energy(benchmark, setup):
     assert averages["RT-3"] < averages["S-NUCA"]
 
 
-def test_fig7_completion(benchmark, setup):
-    results = _matrix(setup)
-    table = benchmark.pedantic(fig7_completion, args=(results,), rounds=1, iterations=1)
+def test_fig7_completion(benchmark, comparison_results):
+    table = benchmark.pedantic(fig7_completion, args=(comparison_results,), rounds=1, iterations=1)
     print()
     print(render_normalized_table(table, "Figure 7: Completion Time (normalized to S-NUCA)"))
     averages = average_row(table)
     assert averages["RT-3"] < averages["S-NUCA"]
 
 
-def test_fig8_miss_types(benchmark, setup):
-    results = _matrix(setup)
+def test_fig8_miss_types(benchmark, comparison_results):
     table = benchmark.pedantic(
-        fig8_miss_breakdown, args=(results,), rounds=1, iterations=1
+        fig8_miss_breakdown, args=(comparison_results,), rounds=1, iterations=1
     )
     print()
     print(render_miss_table(table, "Figure 8: L1 Cache Miss Type Breakdown"))

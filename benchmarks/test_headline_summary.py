@@ -1,16 +1,12 @@
 """The abstract's headline numbers: RT-3 vs VR / ASR / R-NUCA / S-NUCA."""
 
-from conftest import SUBSET
-
-from repro.experiments.comparison import run_comparison
 from repro.experiments.summary import headline_reductions, render_summary
 
 
-def test_headline_summary(benchmark, setup):
-    results = benchmark.pedantic(
-        run_comparison, args=(setup, SUBSET), rounds=1, iterations=1
+def test_headline_summary(benchmark, comparison_results):
+    energy_reduction, time_reduction = benchmark.pedantic(
+        headline_reductions, args=(comparison_results,), rounds=1, iterations=1
     )
-    energy_reduction, time_reduction = headline_reductions(results)
     print()
     print(render_summary(energy_reduction, time_reduction))
     # Direction of the headline claim (magnitudes are workload-model

@@ -12,36 +12,18 @@ experiments.  Three workload regimes are measured:
   asserted here);
 * ``RUNHEAVY`` — a load-imbalanced trace where one hit-heavy core runs
   long same-core L1-hit runs while the other cores stream and park at
-  barriers.  This is the regime the batched kernel targets: whole runs
-  are serviced per scheduler entry, and ≥1.3× over the *fast* kernel is
-  asserted here;
+  barriers, so the fast kernel's inline run-ahead skips the heap;
 * ``REPLHEAVY`` — the same load-imbalanced shape, but the straggler's
   working set overflows its L1 and is *shared*, so under the
   locality-aware scheme most of its accesses are serviced by local LLC
-  replicas.  This is the paper's headline regime and the target of the
-  batched kernel's local-replica fast path: replica hits batch like L1
-  hits instead of single-stepping the miss path, and ≥1.3× over the
-  *fast* kernel is asserted here.
+  replicas (the paper's headline regime).
 
-The ``RUNHEAVY`` regime is also the vector kernel's acceptance gate:
-its long zero-gap hit runs are serviced array-at-a-time (one numpy
-span commit instead of tens of thousands of scheduler entries), and
-≥10× over the *reference* kernel is asserted here.  The other regimes
-cannot reach 10× by construction — ``HOTLOOP``'s lockstep scheduling
-caps every span at a handful of records, and ``REPLHEAVY``'s replica
-hits delegate to the batched closure's sequential LRU churn — so, as
-with the batched gate, the vector floor is asserted only where the
-kernel's design target lies; everywhere else the differential tests
-pin bit-identity and ``choose_kernel`` is asserted to pick vector only
-where it wins.
+Every regime is measured under both kernels so the uploaded benchmark
+JSON tracks each kernel separately.
 
-Every regime is measured under all four kernels so the uploaded
-benchmark JSON tracks each kernel separately.
-
-The four speedup gates assert wall-clock ratios, which a loaded or
-throttled host can miss, so they carry the ``wallclock`` marker: the
-default run deselects them (``pytest.ini``) and ``-m wallclock`` runs
-them.
+The speedup gate asserts a wall-clock ratio, which a loaded or
+throttled host can miss, so it carries the ``wallclock`` marker: the
+default run deselects it (``pytest.ini``) and ``-m wallclock`` runs it.
 """
 
 import os
@@ -55,23 +37,16 @@ import pytest
 #: runners can relax it via the environment without losing the gate.
 SPEEDUP_FLOOR = float(os.environ.get("REPRO_KERNEL_SPEEDUP_MIN", "2.0"))
 
-#: Minimum batched/fast speedup on the run-heavy regime (locally ~1.5x).
-BATCHED_SPEEDUP_FLOOR = float(os.environ.get("REPRO_BATCHED_SPEEDUP_MIN", "1.3"))
-
-#: Minimum vector/reference speedup on the run-heavy regime (locally
-#: ~10-14x; noisy shared CI runners relax it via the environment).
-VECTOR_SPEEDUP_FLOOR = float(os.environ.get("REPRO_VECTOR_SPEEDUP_MIN", "10.0"))
-
 from repro.common.addr import Region
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType, LineClass
 from repro.schemes.factory import make_scheme
-from repro.sim.kernel import choose_kernel, kernel_names
+from repro.sim.kernel import kernel_names
 from repro.sim.simulator import simulate
 from repro.workloads.benchmarks import BenchmarkProfile, build_trace, get_profile
 from repro.workloads.trace import CoreTrace, TraceSet
 
-KERNELS = tuple(kernel_names())  # ("reference", "fast", "batched", "vector")
+KERNELS = tuple(kernel_names())  # ("reference", "fast")
 
 #: L1-resident loop: the hit-heavy regime where loop overhead dominates.
 HOTLOOP_PROFILE = BenchmarkProfile(
@@ -105,8 +80,7 @@ def build_runheavy_traces(
     hit bursts); every other core issues a handful of streaming accesses
     over a region far beyond the LLC and parks at the phase barrier.
     Once the streamers park, core 0 runs the rest of its phase with an
-    empty ready heap — the longest possible scheduling runs, which is
-    exactly where the batched kernel's run servicing pays.
+    empty ready heap — the longest possible inline scheduling runs.
     """
     num_cores = config.num_cores
     hit_lines = max(4, config.l1d.lines // 2)
@@ -350,89 +324,6 @@ def test_fast_kernel_speedup_at_least_2x(hotloop_trace, scheme):
         f"fast kernel only {speedup:.2f}x over reference on {scheme} "
         f"(required >= {SPEEDUP_FLOOR}x)"
     )
-
-
-@pytest.mark.wallclock
-@pytest.mark.parametrize("scheme", ["S-NUCA", "RT-3"])
-def test_batched_kernel_speedup_on_runheavy(runheavy_trace, scheme):
-    """Acceptance gate: the batched kernel is ≥1.3× the *fast* kernel on
-    the run-heavy regime (measured ~1.5×; REPRO_BATCHED_SPEEDUP_MIN
-    relaxes the floor on noisy runners)."""
-    config, traces = runheavy_trace
-    fast_rate = _best_rate("fast", scheme, config, traces)
-    batched_rate = _best_rate("batched", scheme, config, traces)
-    speedup = batched_rate / fast_rate
-    print(
-        f"\n{scheme}: fast {fast_rate:,.0f} acc/s, "
-        f"batched {batched_rate:,.0f} acc/s — {speedup:.2f}x"
-    )
-    assert speedup >= BATCHED_SPEEDUP_FLOOR, (
-        f"batched kernel only {speedup:.2f}x over fast on {scheme} "
-        f"(required >= {BATCHED_SPEEDUP_FLOOR}x)"
-    )
-
-
-@pytest.mark.wallclock
-@pytest.mark.parametrize("scheme", ["RT-1", "RT-3"])
-def test_batched_kernel_speedup_on_replheavy(replheavy_trace, scheme):
-    """Acceptance gate: with the local-replica fast path, the batched
-    kernel is ≥1.3× the *fast* kernel on the replica-dominated regime —
-    the workloads the paper cares about most used to be the ones the
-    batched kernel helped least (replica hits single-stepped the miss
-    path; REPRO_BATCHED_SPEEDUP_MIN relaxes the floor on noisy
-    runners)."""
-    config, traces = replheavy_trace
-    fast_rate = _best_rate("fast", scheme, config, traces)
-    batched_rate = _best_rate("batched", scheme, config, traces)
-    speedup = batched_rate / fast_rate
-    print(
-        f"\n{scheme}: fast {fast_rate:,.0f} acc/s, "
-        f"batched {batched_rate:,.0f} acc/s — {speedup:.2f}x (REPLHEAVY)"
-    )
-    assert speedup >= BATCHED_SPEEDUP_FLOOR, (
-        f"batched kernel only {speedup:.2f}x over fast on {scheme} REPLHEAVY "
-        f"(required >= {BATCHED_SPEEDUP_FLOOR}x)"
-    )
-
-
-@pytest.mark.wallclock
-@pytest.mark.parametrize("scheme", ["S-NUCA", "RT-3"])
-def test_vector_kernel_speedup_on_runheavy(runheavy_trace, scheme):
-    """Acceptance gate: the vector kernel is ≥10× the *reference*
-    kernel on the run-heavy regime — the long zero-gap hit runs it
-    commits as single numpy spans (measured ~10-14×;
-    REPRO_VECTOR_SPEEDUP_MIN relaxes the floor on noisy runners)."""
-    config, traces = runheavy_trace
-    # Best-of-5: a 10x floor leaves less noise headroom than the 1.3x
-    # gates above, and extra vector rounds are nearly free (~60ms each).
-    reference_rate = _best_rate("reference", scheme, config, traces, rounds=5)
-    vector_rate = _best_rate("vector", scheme, config, traces, rounds=5)
-    speedup = vector_rate / reference_rate
-    print(
-        f"\n{scheme}: reference {reference_rate:,.0f} acc/s, "
-        f"vector {vector_rate:,.0f} acc/s — {speedup:.2f}x"
-    )
-    assert speedup >= VECTOR_SPEEDUP_FLOOR, (
-        f"vector kernel only {speedup:.2f}x over reference on {scheme} "
-        f"(required >= {VECTOR_SPEEDUP_FLOOR}x)"
-    )
-
-
-def test_auto_selection_tracks_the_winning_kernel(
-    hotloop_trace, runheavy_trace, replheavy_trace
-):
-    """``choose_kernel`` must route each benchmark regime to the kernel
-    the gates above show winning there: lockstep HOTLOOP to ``fast``,
-    and both imbalanced regimes to ``vector`` when the engine supports
-    spans (falling back to ``batched`` when it does not)."""
-    config, hotloop = hotloop_trace
-    _, runheavy = runheavy_trace
-    _, replheavy = replheavy_trace
-    engine = make_scheme("RT-3", config)
-    assert choose_kernel(hotloop, engine) == "fast"
-    assert choose_kernel(runheavy, engine) == "vector"
-    assert choose_kernel(replheavy, engine) == "vector"
-    assert choose_kernel(runheavy) == "batched"
 
 
 def test_trace_generation_throughput(benchmark):

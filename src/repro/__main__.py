@@ -13,8 +13,7 @@ The ``experiments`` group (:mod:`repro.experiments.cli`) regenerates
 every figure and table, and hosts the distributed experiment service
 (``serve`` / ``work`` / ``store`` / ``--distributed N``); the
 ``testing`` group (:mod:`repro.testing.cli`) differentially verifies
-the simulation kernels.  The old ``python -m repro.experiments`` and
-``python -m repro.testing`` spellings remain as deprecated forwarders.
+the simulation kernels.
 
 The ``trace`` group is the real-trace ingestion pipeline
 (:mod:`repro.workloads.imports`):
@@ -24,7 +23,7 @@ The ``trace`` group is the real-trace ingestion pipeline
     or the CSV interchange format, optionally gzipped — into a
     first-class ``.npz`` trace archive with inferred data-class regions
     and provenance metadata.  The result runs anywhere a catalog
-    benchmark does: ``python -m repro.experiments fig6 --benchmarks
+    benchmark does: ``python -m repro experiments fig6 --benchmarks
     imported:TRACE.npz``.
 
 ``inspect``
@@ -55,6 +54,7 @@ from pathlib import Path
 
 from repro.common.params import MachineConfig
 from repro.common.types import LineClass
+from repro.sim.kernel import kernel_names
 from repro.workloads.benchmarks import BenchmarkProfile, build_trace
 from repro.workloads.imports import (
     ALL_FORMATS,
@@ -149,9 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scheme", default="RT-3",
                      help="scheme label (default RT-3); see "
                           "repro.schemes.factory.FIGURE_SCHEMES")
-    sim.add_argument("--kernel", default=None,
-                     help="simulation kernel (reference/fast/batched/"
-                          "vector/auto; default: REPRO_SIM_KERNEL or fast)")
+    sim.add_argument("--kernel", choices=kernel_names(), default=None,
+                     help="simulation kernel (default: "
+                          "REPRO_SIM_KERNEL or fast); a streamed capture "
+                          "always runs the fast kernel's window loop")
     sim.add_argument("--cores", type=int, default=None,
                      choices=sorted(FIXTURE_MACHINES),
                      help="core count for binary captures (default 4); "
@@ -192,7 +193,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
         f"{provenance.get('barriers', 0)} barriers, "
         f"{len(traces.regions)} inferred regions"
     )
-    print(f"run it with: python -m repro.experiments fig6 --benchmarks imported:{out}")
+    print(f"run it with: python -m repro experiments fig6 --benchmarks imported:{out}")
     return 0
 
 

@@ -10,7 +10,7 @@ The public surface is the declarative experiment API:
   / ``geomean`` / ``mean``);
 * ``@register_experiment`` / ``@register_report`` — add a CLI command.
 
-See ``python -m repro.experiments --help`` (and ``--list`` for the
+See ``python -m repro experiments --help`` (and ``--list`` for the
 registered command catalog).
 """
 
@@ -39,7 +39,7 @@ from repro.experiments.store import ResultStore
 
 # Importing the figure/table modules populates the command registry the
 # CLI (and ``--list``) is generated from; the import order below is the
-# presentation order of ``python -m repro.experiments all``.
+# presentation order of ``python -m repro experiments all``.
 from repro.experiments import fig1_runlength  # noqa: E402,F401  (fig1)
 from repro.experiments import comparison  # noqa: E402,F401  (fig6/fig7/fig8/breakdown)
 from repro.experiments import fig9_limitedk  # noqa: E402,F401  (fig9)

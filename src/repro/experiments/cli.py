@@ -1,8 +1,7 @@
 """Experiments command surface: figures, tables, and the distributed service.
 
-This is the implementation behind ``python -m repro experiments`` — the
-single documented entry point (``python -m repro.experiments`` remains
-as a thin deprecated forwarder).  Usage::
+This is the implementation behind ``python -m repro experiments``.
+Usage::
 
     python -m repro experiments --list
     python -m repro experiments fig1 [options]
@@ -31,11 +30,9 @@ Options::
     --queue DIR               work-queue directory for --distributed
                               (default: a fresh temporary directory)
     --lease-ttl SECONDS       distributed lease timeout (default: 60)
-    --kernel {reference,fast,batched,auto}
-                              simulation kernel (default: fast; all are
-                              differentially verified bit-identical;
-                              ``auto`` probes each trace's run-length
-                              structure and picks fast vs batched)
+    --kernel {reference,fast}
+                              simulation kernel (default: fast; the two
+                              are differentially verified bit-identical)
     --no-cache                skip the on-disk result store for this
                               invocation (in-memory dedup still applies)
 
@@ -82,7 +79,7 @@ from repro.experiments.store import (
     max_bytes_from_env,
     open_disk_backend,
 )
-from repro.sim.kernel import AUTO_KERNEL, kernel_names
+from repro.sim.kernel import kernel_names
 
 #: Registered commands plus the ``all`` expansion, in run order.
 COMMANDS = (*spec_registry.command_names(), "all")
@@ -103,11 +100,10 @@ def _add_setup_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--benchmarks", type=str, default=None,
                         help="comma-separated benchmark names")
-    parser.add_argument("--kernel", choices=(*kernel_names(), AUTO_KERNEL),
-                        default=None,
-                        help="simulation kernel (default: fast; all kernels "
-                             "are differentially verified bit-identical; "
-                             "'auto' picks fast vs batched per trace)")
+    parser.add_argument("--kernel", choices=kernel_names(), default=None,
+                        help="simulation kernel (default: fast; reference "
+                             "and fast are differentially verified "
+                             "bit-identical)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -56,9 +56,8 @@ class ExperimentSetup:
     seed: int = 1
     asr_levels: tuple[float, ...] = ASRScheme.LEVELS
     #: Simulation kernel name (None → REPRO_SIM_KERNEL env var → "fast").
-    #: ``"auto"`` probes each trace's run-length structure and picks
-    #: fast vs batched per run.  All kernels are differentially verified
-    #: bit-identical, so this only trades speed, never results.
+    #: Both kernels are differentially verified bit-identical, so this
+    #: only trades speed, never results.
     kernel: str | None = None
 
     def __post_init__(self) -> None:

@@ -21,7 +21,7 @@ describes each figure as data instead of bespoke loops:
   (:func:`repro.experiments.parallel.execute_spec_parallel`).
 * the **registry** — ``@register_experiment`` / ``@register_report``
   bind CLI command names to spec builders (or plain report callables);
-  ``python -m repro.experiments`` generates its subcommands and
+  ``python -m repro experiments`` generates its subcommands and
   ``--list`` output from it.
 
 The simulation kernel is *not* part of a point's content address: all

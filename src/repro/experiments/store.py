@@ -32,9 +32,9 @@ The store is split into two layers:
     commits results through.
 
 The simulation *kernel* is deliberately **excluded** from the
-fingerprint: all kernels are differentially verified bit-identical
-(:mod:`repro.testing`), so reference/fast/batched/vector/auto runs of
-the same point are interchangeable payloads.  Serialization is exact —
+fingerprint: the kernels are differentially verified bit-identical
+(:mod:`repro.testing`), so reference and fast runs of the same point
+are interchangeable payloads.  Serialization is exact —
 JSON round-trips Python floats bit-for-bit — so a disk hit reproduces
 the original statistics digit for digit.
 

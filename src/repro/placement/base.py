@@ -22,19 +22,6 @@ class Placement(abc.ABC):
     def observe_access(self, line_addr: int, requester: int, is_ifetch: bool) -> None:
         """Learning hook, called once per L1 miss before home resolution."""
 
-    def peek_home(self, line_addr: int, requester: int, is_ifetch: bool) -> int:
-        """What :meth:`home_for` would return *after* observing this access,
-        without mutating any learning state.
-
-        The vector kernel's inline home-hit fast path must know the
-        resolved home before it commits any side effect (a resolution that
-        triggers a migration is not schedule-free), so it needs the
-        post-observation answer as a pure function.  The default is exact
-        for stateless policies (``observe_access`` is a no-op); learning
-        policies must override it alongside ``observe_access``.
-        """
-        return self.home_for(line_addr, requester, is_ifetch)
-
     @property
     def homes_depend_on_requester(self) -> bool:
         """Whether different requesters can see different homes.

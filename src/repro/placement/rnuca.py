@@ -76,27 +76,6 @@ class ReactiveNuca(Placement):
             self.private_pages -= 1
             self.shared_transitions += 1
 
-    def peek_home(self, line_addr: int, requester: int, is_ifetch: bool) -> int:
-        """Post-observation home, computed without mutating the page table.
-
-        Mirrors :meth:`observe_access` followed by :meth:`home_for`: an
-        untouched page would become private to ``requester`` (home =
-        requester); a private page touched by another core would turn
-        shared (address-interleaved home); otherwise classification is
-        already stable and ``home_for`` applies as-is.
-        """
-        if is_ifetch and self.instruction_clustering:
-            return self._instruction_home(line_addr, requester)
-        entry = self._pages.get(self.page_of(line_addr))
-        if entry is None:
-            return requester  # would be classified private to the requester
-        page_class, owner = entry
-        if page_class == PageClass.PRIVATE:
-            if owner == requester:
-                return owner
-            # Second core touching a private page: becomes shared.
-        return line_addr % self.num_cores
-
     # -- placement ----------------------------------------------------------------
     def home_for(self, line_addr: int, requester: int, is_ifetch: bool) -> int:
         if is_ifetch and self.instruction_clustering:

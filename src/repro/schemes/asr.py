@@ -88,37 +88,6 @@ class ASRScheme(ProtocolEngine):
         self.stats.energy_event(energy_events.LLC_DATA_READ)
         return LocalHit(float(self.config.llc_data_latency), MESIState.SHARED), probe_cost
 
-    def _make_replica_service(self):
-        """Batched-kernel replica fast path (see the base-class hook).
-
-        ASR replicas are S-state shared read-only data: only reads are
-        serviceable inline (writes always go to the home, ending the
-        run).  ASR overrides :meth:`handle_l1_eviction` (probabilistic
-        victim replication), so the base closure only batches hits whose
-        L1 fill evicts nothing.
-        """
-        if (
-            "local_lookup" in self.__dict__
-            or type(self).local_lookup is not ASRScheme.local_lookup
-        ):
-            return None
-        slices = self.slices
-        SHARED = MESIState.SHARED
-
-        def service(core: int, line_addr: int, write: bool):
-            if write:
-                return None
-            llc = slices[core]
-            replica = llc.replica(line_addr)
-            if replica is None:
-                return None
-            replica.reuse.increment()
-            replica.l1_copy = True
-            llc.touch(replica)
-            return SHARED, False
-
-        return service
-
     # ------------------------------------------------------------------
     # L1 evictions: probabilistic shared-RO replication
     # ------------------------------------------------------------------

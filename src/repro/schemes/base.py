@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional
 
-import numpy as np
 
 from repro.cache.entries import HomeEntry, L1Line, ReplicaEntry
 from repro.cache.l1 import L1Cache
@@ -321,946 +320,6 @@ class ProtocolEngine:
             return latency + l1_latency
 
         return fast_access
-
-    def _make_replica_service(self):
-        """Scheme hook behind the batched kernel's local-replica fast path.
-
-        Returns ``None`` (the base machine keeps no replicas, so replica
-        hits are never batchable) or a closure ``service(core, line_addr,
-        write)`` that tries to service one L1-missing access as a
-        *no-coherence* hit in the core's local LLC replica slice:
-
-        * when the access is not serviceable inline — no replica, a write
-          against a non-writable replica (directory upgrade), the local
-          slice holding the *home* entry, or any other case that must run
-          the full miss path — it returns ``None`` **without mutating any
-          state**, and the kernel single-steps the record through
-          :meth:`access` semantics instead;
-        * otherwise it commits the replica-side effects of
-          :meth:`local_lookup` for this scheme (reuse-counter increment,
-          LRU touch, ``l1_copy``, VR's exclusive-move removal, a write's
-          M-state transition) and returns ``(state, dirty)`` — the MESI
-          grant and dirty flag the L1 fill receives.
-
-        The base closure in :meth:`make_batched_access` owns everything
-        scheme-independent: the L1-victim precheck, the L1 fill and the
-        per-run statistics flush.  Implementations must guard their own
-        inlined hooks (decline when :meth:`local_lookup` is overridden
-        further) and decline configurations whose replica hits are not
-        constant-latency (e.g. cluster-level replication, whose probes
-        cross the mesh).
-        """
-        return None
-
-    def _replica_batching_guards(self) -> bool:
-        """Scheme-independent guards of the batched replica fast path.
-
-        No observer (``on_replica_access`` fires per hit, in order),
-        integer-valued replica-hit latency components (the per-run
-        ``n * probe_cost`` flush is only exact for integers), and the
-        miss/fill helpers the fast path inlines not overridden.
-        """
-        if self.observer is not None:
-            return False
-        if not (
-            float(self.config.llc_tag_latency).is_integer()
-            and float(self.config.llc_data_latency).is_integer()
-        ):
-            return False
-        return not (
-            "_handle_l1_miss" in self.__dict__
-            or "_fill_l1" in self.__dict__
-            or type(self)._handle_l1_miss is not ProtocolEngine._handle_l1_miss
-            or type(self)._fill_l1 is not ProtocolEngine._fill_l1
-        )
-
-    def _stock_eviction_hooks(self) -> bool:
-        """Whether L1 victims take the base (replica-merge capable) path.
-
-        Only then can the batched closure dispose of an evicted L1
-        victim inline — by merging it into its own local replica — which
-        is what keeps replica runs going once the L1 is full.
-        """
-        return not (
-            "handle_l1_eviction" in self.__dict__
-            or "_notify_home_of_l1_eviction" in self.__dict__
-            or type(self).handle_l1_eviction is not ProtocolEngine.handle_l1_eviction
-            or type(self)._notify_home_of_l1_eviction
-            is not ProtocolEngine._notify_home_of_l1_eviction
-        )
-
-    def supports_replica_batching(self) -> bool:
-        """Whether batched replica runs *sustain* in the full-L1 steady state.
-
-        The ``auto`` kernel probe's replica-friendliness signal
-        (:func:`repro.sim.kernel.choose_kernel`).  Deliberately stricter
-        than "the fast path exists": it also requires the stock eviction
-        hooks, because once the L1 is full every replica-hit fill evicts
-        a victim, and a scheme with overridden eviction hooks (VR's
-        victim placement, ASR's probabilistic replication) single-steps
-        those records — its replica hits batch only opportunistically
-        while L1 sets have room, which does not justify steering
-        ``auto`` toward the batched kernel.
-        """
-        return (
-            self._replica_batching_guards()
-            and self._stock_eviction_hooks()
-            and self._make_replica_service() is not None
-        )
-
-    def supports_vector_spans(self) -> bool:
-        """Whether the vector kernel's array-at-a-time spans engage.
-
-        The ``auto`` kernel probe's vector signal
-        (:func:`repro.sim.kernel.choose_kernel`): True when
-        :meth:`make_vector_access` would return a working closure for
-        integral-gap traces — i.e. batching is available, so vectorized
-        L1-hit spans (which need no further engine support) run on top
-        of it.
-        """
-        return self.make_vector_access() is not None
-
-    def make_batched_access(self, charge_gaps: bool = False):
-        """Run-servicing entry point for the batched simulation kernel.
-
-        Returns a closure ``run_hits(core, decoded, index, stop, now,
-        limit, strict)`` that executes records ``decoded[index:]`` for as
-        long as they are L1 hits — or, for replicating schemes
-        (:meth:`_make_replica_service`), constant-latency local-replica
-        hits — stopping at the first of:
-
-        * a record that must run the full miss path: an L1 miss with no
-          serviceable local replica, a write needing a directory upgrade
-          (against a SHARED L1 copy or a non-writable replica), or a
-          replica-hit fill whose L1 victim cannot be disposed of locally
-          (any event that can mutate replica or directory state beyond
-          the run's own slice — the kernel services it through the
-          fast-access miss path);
-        * ``stop`` — the run boundary the kernel computed (the next
-          barrier record or the end of the trace);
-        * the scheduling limit — after a record completes at time ``t``,
-          the core must yield when ``t > limit`` (or ``t >= limit`` if
-          ``strict`` is False, i.e. the heap-front core wins the tie).
-
-        Returns ``(index, now, yielded)``: the first unexecuted record,
-        the core's clock, and whether the stop was a scheduling yield.
-        The closure owns the whole run's statistics: one flush of the
-        hit/energy/latency counters per run, with the Compute bucket
-        charged from the decoded trace's numpy ``gap_prefix`` slice
-        (``charge_gaps`` switches to per-record charging, which the
-        kernel requests when gaps are fractional and the reference
-        accumulation order is therefore observable).
-
-        A batched replica hit replays the reference path exactly: the
-        scheme service commits the :meth:`local_lookup` effects (reuse
-        increment with the same saturation, the same single LRU touch),
-        the closure fills the L1 — including merging an evicted L1
-        victim into its own local replica when the scheme uses the stock
-        eviction path, the common steady state once the L1 is full — and
-        the flush adds the per-hit ``L1-To-LLC-Replica`` probe cost,
-        ``LLC_REPLICA_HIT`` statuses and tag/data energies.  Its clock
-        charge keeps the reference operation grouping
-        ``(probe + data) + l1`` per record.
-
-        All side effects are bit-identical to issuing the same records
-        through :meth:`access` — enforced by ``repro.testing``.  Returns
-        ``None`` (kernel falls back to the fast path) when the
-        specialization guards fail: :meth:`access`/:meth:`_l1_energy`
-        overrides (same rule as :meth:`make_fast_access`), non-stock L1
-        cache objects, TLA hints (hints send per-hit mesh messages, so
-        hits are not schedule-free), or a fractional L1 latency (the
-        flushed ``n * l1_latency`` sum is only exact for integers).
-        """
-        if (
-            "access" in self.__dict__
-            or "_l1_energy" in self.__dict__
-            or type(self).access is not ProtocolEngine.access
-            or type(self)._l1_energy is not ProtocolEngine._l1_energy
-        ):
-            return None
-        if self.config.tla_hints:
-            return None
-        if not float(self.config.l1_latency).is_integer():
-            return None
-        if any(type(cache) is not L1Cache for cache in (*self.l1i, *self.l1d)):
-            return None
-
-        l1_latency = self.config.l1_latency
-        stats = self.stats
-        counters = stats.counters
-        latency_buckets = stats.latency
-        miss_status = stats.miss_status
-        energy_counts = stats.energy_counts
-        # type(cache) is L1Cache above makes probe_hit's body the one we
-        # inline here: the array's access plus the write-permission check.
-        instr_probe = [cache.access for cache in self.l1i]
-        data_probe = [cache.access for cache in self.l1d]
-        l1i_caches = self.l1i
-        l1d_caches = self.l1d
-        READ = AccessType.READ
-        WRITE = AccessType.WRITE
-        MODIFIED = MESIState.MODIFIED
-        L1_HIT = MissStatus.L1_HIT
-        LLC_REPLICA_HIT = MissStatus.LLC_REPLICA_HIT
-        COMPUTE = stat_names.COMPUTE
-        L1_HIT_TIME = stat_names.L1_HIT_TIME
-        L1_TO_LLC_REPLICA = stat_names.L1_TO_LLC_REPLICA
-        L1I_READ = energy_events.L1I_READ
-        L1D_READ = energy_events.L1D_READ
-        L1I_WRITE = energy_events.L1I_WRITE
-        L1D_WRITE = energy_events.L1D_WRITE
-        LLC_TAG_READ = energy_events.LLC_TAG_READ
-        LLC_DATA_READ = energy_events.LLC_DATA_READ
-        LLC_DATA_WRITE = energy_events.LLC_DATA_WRITE
-
-        replica_service = (
-            self._make_replica_service() if self._replica_batching_guards() else None
-        )
-        # Per-record replica-hit latency with the reference operation
-        # grouping ((probe + hit.latency) then + l1_latency);
-        # probe_cost is the constant local-slice tag probe every scheme's
-        # local_lookup charges on a (non-cluster) replica hit.
-        probe_cost = float(self.config.llc_tag_latency)
-        replica_latency = (probe_cost + float(self.config.llc_data_latency)) + l1_latency
-        # An L1 victim evicted by a replica-hit fill can be disposed of
-        # inline only through the stock eviction path's replica-merge arm
-        # (no mesh traffic); schemes overriding the eviction hooks (VR's
-        # victim placement, ASR's probabilistic replication) single-step
-        # any record whose fill would evict.
-        inline_victims = replica_service is not None and self._stock_eviction_hooks()
-        slices = self.slices
-        replica_slice_for = self.replica_slice_for
-
-        # Replica-record service outcomes (bit flags accumulated by the
-        # flush): 0 = not serviceable inline (single-step the record).
-        SERVED = 1
-        SERVED_EVICT = 2
-        SERVED_EVICT_DIRTY = 3
-
-        def replica_record(core, line_addr, write, l1):
-            """Inline one replica hit + L1 fill; returns a SERVED_* code.
-
-            Mirrors access() for a no-coherence replica hit exactly:
-            local_lookup's replica-side effects (committed by the scheme
-            service), then _fill_l1 — including the stock eviction
-            path's local replica-merge of an evicted L1 victim.  All
-            prechecks run before any mutation, so a 0 return leaves the
-            machine untouched for the single-step fallback.
-            """
-            victim = l1.victim_for(line_addr)
-            if victim is not None:
-                if not inline_victims:
-                    return 0
-                victim_replica = slices[
-                    replica_slice_for(core, victim.line_addr)
-                ].replica(victim.line_addr)
-                if victim_replica is None:
-                    # The victim would notify its home (possible mesh
-                    # traffic / directory update): not schedule-free.
-                    return 0
-            grant = replica_service(core, line_addr, write)
-            if grant is None:
-                return 0
-            state, rep_dirty = grant
-            # The L1 fill, inlined from L1Cache.fill minus the lookup
-            # (the probe just missed) and the victim re-selection (no L1
-            # mutation since the precheck — same victim).
-            if victim is not None:
-                l1.remove(victim.line_addr)
-            entry = L1Line(line_addr, state)
-            l1.insert(entry)
-            if rep_dirty:
-                entry.dirty = True
-            if write:
-                entry.state = MODIFIED
-                entry.dirty = True
-            if victim is None:
-                return SERVED
-            # The merge arm of _notify_home_of_l1_eviction: dirty data
-            # folds into the victim's replica, the core stays a sharer.
-            victim_replica.l1_copy = False
-            if victim.dirty or victim.state is MODIFIED:
-                victim_replica.dirty = True
-                if victim_replica.state.writable:
-                    victim_replica.state = MODIFIED
-                return SERVED_EVICT_DIRTY
-            return SERVED_EVICT
-
-        def run_hits(core, decoded, index, stop, now, limit, strict):
-            atypes = decoded.atypes
-            lines = decoded.lines
-            gaps = decoded.gaps
-            probe_data = data_probe[core]
-            probe_instr = instr_probe[core]
-            l1_data = l1d_caches[core]
-            l1_instr = l1i_caches[core]
-            start = index
-            n_data = 0
-            n_instr = 0
-            n_write = 0
-            r_data = 0
-            r_instr = 0
-            n_evict = 0
-            n_evict_dirty = 0
-            yielded = False
-            while index < stop:
-                atype = atypes[index]
-                line_addr = lines[index]
-                latency = l1_latency
-                if atype is READ:
-                    entry = probe_data(line_addr)
-                    if entry is not None:
-                        n_data += 1
-                    else:
-                        if replica_service is None:
-                            break
-                        code = replica_record(core, line_addr, False, l1_data)
-                        if not code:
-                            break
-                        r_data += 1
-                        if code > SERVED:
-                            n_evict += 1
-                            if code == SERVED_EVICT_DIRTY:
-                                n_evict_dirty += 1
-                        latency = replica_latency
-                elif atype is WRITE:
-                    entry = probe_data(line_addr)
-                    if entry is not None:
-                        if not entry.state.writable:
-                            break  # upgrade through the home directory
-                        entry.state = MODIFIED
-                        entry.dirty = True
-                        n_data += 1
-                        n_write += 1
-                    else:
-                        if replica_service is None:
-                            break
-                        code = replica_record(core, line_addr, True, l1_data)
-                        if not code:
-                            break
-                        r_data += 1
-                        if code > SERVED:
-                            n_evict += 1
-                            if code == SERVED_EVICT_DIRTY:
-                                n_evict_dirty += 1
-                        latency = replica_latency
-                else:  # IFETCH (barriers never appear inside a run)
-                    entry = probe_instr(line_addr)
-                    if entry is not None:
-                        n_instr += 1
-                    else:
-                        if replica_service is None:
-                            break
-                        code = replica_record(core, line_addr, False, l1_instr)
-                        if not code:
-                            break
-                        r_instr += 1
-                        if code > SERVED:
-                            n_evict += 1
-                            if code == SERVED_EVICT_DIRTY:
-                                n_evict_dirty += 1
-                        latency = replica_latency
-                gap = gaps[index]
-                index += 1
-                if charge_gaps and gap:
-                    latency_buckets[COMPUTE] += gap
-                # Same two-step accumulation as the reference loop
-                # (issue = now + gap; now = issue + latency): float
-                # addition is not associative, so the grouping is part
-                # of the bit-identity contract.
-                now = now + gap + latency
-                if now >= limit and (not strict or now > limit):
-                    yielded = True
-                    break
-            hits = index - start
-            if hits:
-                if not charge_gaps:
-                    gap_prefix = decoded.gap_prefix
-                    run_gaps = float(gap_prefix[index] - gap_prefix[start])
-                    if run_gaps:
-                        latency_buckets[COMPUTE] += run_gaps
-                latency_buckets[L1_HIT_TIME] += hits * l1_latency
-                replicas = r_data + r_instr
-                l1_hits = hits - replicas
-                if l1_hits:
-                    miss_status[L1_HIT] += l1_hits
-                if n_data:
-                    counters["l1d_hits"] += n_data
-                    energy_counts[L1D_READ] += n_data
-                if n_instr:
-                    counters["l1i_hits"] += n_instr
-                    energy_counts[L1I_READ] += n_instr
-                if n_write:
-                    energy_counts[L1D_WRITE] += n_write
-                if replicas:
-                    miss_status[LLC_REPLICA_HIT] += replicas
-                    counters["llc_replica_hits"] += replicas
-                    latency_buckets[L1_TO_LLC_REPLICA] += replicas * probe_cost
-                    energy_counts[LLC_TAG_READ] += replicas
-                    energy_counts[LLC_DATA_READ] += replicas
-                    if r_data:
-                        counters["l1d_misses"] += r_data
-                        energy_counts[L1D_READ] += r_data
-                        energy_counts[L1D_WRITE] += r_data
-                    if r_instr:
-                        counters["l1i_misses"] += r_instr
-                        energy_counts[L1I_READ] += r_instr
-                        energy_counts[L1I_WRITE] += r_instr
-                    if n_evict:
-                        counters["l1_evictions"] += n_evict
-                        if n_evict_dirty:
-                            energy_counts[LLC_DATA_WRITE] += n_evict_dirty
-            return index, now, yielded
-
-        return run_hits
-
-    # ------------------------------------------------------------------
-    # Vector-kernel specialization
-    # ------------------------------------------------------------------
-    #: Minimum vectorizable L1-hit span (records) worth the numpy planning
-    #: overhead.  Purely a performance heuristic: shorter spans are simply
-    #: serviced by the batched per-record closure instead, so any value is
-    #: bit-identical.
-    VECTOR_MIN_SPAN = 24
-
-    def _home_request_stock(self) -> bool:
-        """Whether the home-request read path is the base implementation.
-
-        The vector kernel's inline home-hit arm re-implements the no-mesh
-        read case of :meth:`_home_request` (home resolution and the
-        directory and data actions included) and :meth:`_service_read`;
-        any override must disable it.
-        """
-        cls = type(self)
-        return not (
-            "_home_request" in self.__dict__
-            or "_service_read" in self.__dict__
-            or "_home_of_cached_line" in self.__dict__
-            or cls._home_request is not ProtocolEngine._home_request
-            or cls._service_read is not ProtocolEngine._service_read
-            or cls._home_of_cached_line is not ProtocolEngine._home_of_cached_line
-        )
-
-    def _home_service_guards(self) -> bool:
-        """Whether inline local-home-hit servicing is sound for this scheme.
-
-        The base rule additionally requires the replica-placement hooks to
-        be stock, because the inline arm assumes (a) ``local_lookup`` of a
-        line whose *home* entry sits in the requester's own slice charges
-        nothing, and (b) ``replica_would_help(home == core)`` is False, so
-        no replica is ever created at the home.  Schemes for which both
-        still hold under their own overrides (the locality scheme) widen
-        the check.
-        """
-        cls = type(self)
-        if (
-            "local_lookup" in self.__dict__
-            or cls.local_lookup is not ProtocolEngine.local_lookup
-            or cls.replica_slice_for is not ProtocolEngine.replica_slice_for
-            or cls.replica_would_help is not ProtocolEngine.replica_would_help
-        ):
-            return False
-        return self._home_request_stock()
-
-    def _make_home_service(self):
-        """Inline servicing of local-home read hits (vector kernel).
-
-        Returns ``None``, or a closure ``home_step(core, line_addr,
-        is_ifetch, now) -> float | None`` servicing one L1-missing *read*
-        (data or instruction fetch) as an LLC hit at a home entry in the
-        requester's own slice.  This is the one miss disposition that is
-        schedule-free — no mesh message in either direction, no remote
-        owner to downgrade, no replica created (``replica_would_help`` is
-        False at the home) — yet breaks batched replica runs (R-NUCA
-        homes ~1/num_cores of any shared region in the requester's own
-        slice), so servicing it inline is what lets vector/batched runs
-        span whole replica-heavy phases.
-
-        Every precheck runs before any mutation: a ``None`` return leaves
-        the machine untouched and the caller single-steps the record
-        through the generic miss path.  On success the closure commits
-        the exact reference side effects — placement observation, home
-        resolution, per-line serialization (``line_busy``), directory
-        read (sharers/owner/E-grant), classifier hook, LLC LRU touch,
-        the L1 fill with a locally-disposable victim — and returns the
-        access's total latency (``result.latency + l1_latency``).
-        """
-        if not (self._replica_batching_guards() and self._stock_eviction_hooks()):
-            return None
-        if not self._home_service_guards():
-            return None
-        config = self.config
-        l1_latency = config.l1_latency
-        tag_latency = config.llc_tag_latency
-        data_latency = config.llc_data_latency
-        stats = self.stats
-        counters = stats.counters
-        latency_buckets = stats.latency
-        miss_status = stats.miss_status
-        energy_counts = stats.energy_counts
-        l1i = self.l1i
-        l1d = self.l1d
-        slices = self.slices
-        placement = self.placement
-        peek_home = placement.peek_home
-        observe_access = placement.observe_access
-        active_home = self._active_home
-        line_busy = self._line_busy
-        replica_slice_for = self.replica_slice_for
-        home_of_cached_line = self._home_of_cached_line
-        should_replicate = self.should_replicate
-        MODIFIED = MESIState.MODIFIED
-        EXCLUSIVE = MESIState.EXCLUSIVE
-        SHARED = MESIState.SHARED
-        LLC_HOME_HIT = MissStatus.LLC_HOME_HIT
-        L1_HIT_TIME = stat_names.L1_HIT_TIME
-        L1_TO_LLC_HOME = stat_names.L1_TO_LLC_HOME
-        LLC_HOME_WAITING = stat_names.LLC_HOME_WAITING
-        LLC_HOME_TO_SHARERS = stat_names.LLC_HOME_TO_SHARERS
-        LLC_HOME_TO_OFFCHIP = stat_names.LLC_HOME_TO_OFFCHIP
-        L1I_READ = energy_events.L1I_READ
-        L1D_READ = energy_events.L1D_READ
-        L1I_WRITE = energy_events.L1I_WRITE
-        L1D_WRITE = energy_events.L1D_WRITE
-        LLC_TAG_READ = energy_events.LLC_TAG_READ
-        LLC_DATA_READ = energy_events.LLC_DATA_READ
-        LLC_DATA_WRITE = energy_events.LLC_DATA_WRITE
-        DIR_READ = energy_events.DIR_READ
-        DIR_WRITE = energy_events.DIR_WRITE
-
-        homes_depend_on_requester = placement.homes_depend_on_requester
-
-        def home_step(core, line_addr, is_ifetch, now):
-            # -- prechecks: all pure; None leaves the machine untouched --
-            if is_ifetch and homes_depend_on_requester:
-                # Per-cluster instruction homes skip the _active_home
-                # bookkeeping; keep that branch on the generic path.
-                return None
-            array = (l1i if is_ifetch else l1d)[core]
-            if array.lookup(line_addr) is not None:
-                return None  # L1 hit / write upgrade: not this path
-            llc = slices[core]
-            entry = llc.home(line_addr)
-            if entry is None:
-                return None  # remote home or off-chip miss
-            if peek_home(line_addr, core, is_ifetch) != core:
-                return None  # resolution would land (or migrate) elsewhere
-            current = active_home.get(line_addr)
-            if current is not None and current != core:
-                return None  # resolution would migrate the old home
-            owner = entry.owner
-            if owner is not None and owner != core:
-                return None  # remote owner: the downgrade crosses the mesh
-            victim = array.victim_for(line_addr)
-            victim_replica = None
-            victim_home = None
-            if victim is not None:
-                victim_replica = slices[
-                    replica_slice_for(core, victim.line_addr)
-                ].replica(victim.line_addr)
-                if victim_replica is None:
-                    if home_of_cached_line(core, victim.line_addr, is_ifetch) != core:
-                        return None  # victim ack would cross the mesh
-                    victim_home = llc.home(victim.line_addr)
-            # -- commit: mirrors access() for this disposition exactly --
-            energy_counts[L1I_READ if is_ifetch else L1D_READ] += 1
-            counters["l1i_misses" if is_ifetch else "l1d_misses"] += 1
-            # local_lookup: the local slice holds the home entry, so the
-            # probe is the home access itself (zero extra cost/energy).
-            observe_access(line_addr, core, is_ifetch)
-            active_home[line_addr] = core
-            busy_key = (core, line_addr)
-            busy_until = line_busy.get(busy_key, 0.0)
-            wait = busy_until - now if busy_until > now else 0.0
-            latency_buckets[LLC_HOME_WAITING] += wait
-            t = now + wait
-            energy_counts[LLC_TAG_READ] += 1
-            energy_counts[DIR_READ] += 1
-            t += tag_latency
-            counters["llc_home_hits"] += 1
-            llc.touch(entry)
-            # _service_read with a local (or absent) owner: no downgrade,
-            # no sharer latency.
-            sharers = entry.sharers
-            only_sharer = sharers.count == (1 if core in sharers else 0)
-            sharers.add(core)
-            if only_sharer:
-                grant = EXCLUSIVE
-                entry.owner = core
-            else:
-                grant = SHARED
-            should_replicate(entry, core, False, is_ifetch, only_sharer)
-            # replica_would_help(home == core) is False under the guards:
-            # no replica is created, whatever the classifier said.
-            energy_counts[LLC_DATA_READ] += 1
-            energy_counts[DIR_WRITE] += 1
-            t += data_latency
-            line_busy[busy_key] = t
-            total = t - now
-            home_component = total - wait - 0.0 - 0.0
-            if home_component < 0.0:
-                home_component = 0.0
-            latency_buckets[L1_TO_LLC_HOME] += home_component
-            latency_buckets[LLC_HOME_TO_SHARERS] += 0.0
-            latency_buckets[LLC_HOME_TO_OFFCHIP] += 0.0
-            # _fill_l1 with the precomputed victim (no mutation happened
-            # between the precheck and here, so it is still the victim).
-            if victim is not None:
-                array.remove(victim.line_addr)
-            l1_entry = L1Line(line_addr, grant)
-            array.insert(l1_entry)
-            energy_counts[L1I_WRITE if is_ifetch else L1D_WRITE] += 1
-            replica = llc.replica(line_addr)
-            if replica is not None:
-                replica.l1_copy = True
-            if victim is not None:
-                counters["l1_evictions"] += 1
-                dirty = victim.dirty or victim.state is MODIFIED
-                if victim_replica is not None:
-                    # Merge arm of _notify_home_of_l1_eviction.
-                    victim_replica.l1_copy = False
-                    if dirty:
-                        victim_replica.dirty = True
-                        if victim_replica.state.writable:
-                            victim_replica.state = MODIFIED
-                        energy_counts[LLC_DATA_WRITE] += 1
-                elif victim_home is not None:
-                    # Local-home ack arm (no mesh: victim home == core).
-                    victim_home.sharers.remove(core)
-                    if victim_home.owner == core:
-                        victim_home.owner = None
-                        victim_home.state = SHARED
-                    if dirty:
-                        victim_home.dirty = True
-                        energy_counts[LLC_DATA_WRITE] += 1
-                    energy_counts[DIR_WRITE] += 1
-            miss_status[LLC_HOME_HIT] += 1
-            latency_buckets[L1_HIT_TIME] += l1_latency
-            return total + l1_latency
-
-        return home_step
-
-    def make_vector_access(self, charge_gaps: bool = False):
-        """Array-at-a-time entry point for the vector simulation kernel.
-
-        Returns a closure with the exact ``run_hits`` contract of
-        :meth:`make_batched_access` — ``run_vector(core, decoded, index,
-        stop, now, limit, strict) -> (index, now, yielded)`` — that
-        executes whole *pure-L1-hit spans* as numpy array operations
-        instead of a per-record Python loop:
-
-        * a **span oracle** proves records hittable in bulk: during a
-          span of L1 hits, L1 membership and line writability are
-          invariant (hits never evict; writes only land on writable
-          lines, and MODIFIED stays writable), so a sorted snapshot of
-          each L1 array plus ``searchsorted`` membership/writability
-          tests classifies an arbitrary window of upcoming records at
-          once.  The first non-hit (miss, or write needing an upgrade)
-          ends the span;
-        * **per-record completion times** replay the reference clock
-          chain exactly: the reference advances ``now = (now + gap) +
-          l1_latency`` per record — two separately rounded float adds —
-          and ``np.cumsum`` (sequential accumulation, never pairwise)
-          over the interleaved ``(gap, latency)`` increments performs
-          the identical sequence of float64 adds.  The resulting clock
-          vector matches the reference bit-for-bit even when ``now``
-          carries a fractional DRAM-queue component, so truncating the
-          span at the scheduling limit with one ``searchsorted`` over
-          ``t`` reproduces the reference per-record yield check;
-        * **LRU replay** commits the snapshot-validated hits exactly:
-          the reference bumps the array clock once per hit and stamps
-          the entry, so per array ``_clock += n`` and each touched line
-          gets ``last_use = clock_before + (1-based ordinal of its last
-          hit)`` — computed with one ``np.unique`` over the reversed
-          hit sequence.  Written lines go MODIFIED/dirty (idempotent);
-        * the **stats flush** per span is identical to the batched
-          flush for the same records (integer counter/energy adds plus
-          one ``gap_prefix`` Compute charge).
-
-        Everything that is not a pure L1 hit delegates: short spans and
-        replica hits go through the captured :meth:`make_batched_access`
-        closure (per-record, replica fast path included), local-home
-        read hits through :meth:`_make_home_service`, and anything else
-        returns to the kernel for single-stepping.  Returns ``None`` —
-        the vector kernel then falls back to the batched kernel — when
-        batching itself is unavailable or when ``charge_gaps`` is set
-        (fractional gaps make the reference Compute accumulation order
-        observable, which array summation cannot reproduce).
-        """
-        if charge_gaps:
-            return None
-        run_hits = self.make_batched_access(charge_gaps=False)
-        if run_hits is None:
-            return None
-        home_step = self._make_home_service()
-        l1_latency = self.config.l1_latency
-        stats = self.stats
-        counters = stats.counters
-        latency_buckets = stats.latency
-        miss_status = stats.miss_status
-        energy_counts = stats.energy_counts
-        l1i_caches = self.l1i
-        l1d_caches = self.l1d
-        min_span = self.VECTOR_MIN_SPAN
-        min_budget = min_span * l1_latency
-        INFINITY = float("inf")
-        IFETCH_CODE = int(AccessType.IFETCH)
-        WRITE_CODE = int(AccessType.WRITE)
-        IFETCH = AccessType.IFETCH
-        WRITE = AccessType.WRITE
-        MODIFIED = MESIState.MODIFIED
-        L1_HIT = MissStatus.L1_HIT
-        COMPUTE = stat_names.COMPUTE
-        L1_HIT_TIME = stat_names.L1_HIT_TIME
-        L1I_READ = energy_events.L1I_READ
-        L1D_READ = energy_events.L1D_READ
-        L1D_WRITE = energy_events.L1D_WRITE
-
-        def snapshot(array):
-            """Sorted (lines, writability) view of one L1 array."""
-            sets = array._sets
-            addrs = [line_addr for cache_set in sets for line_addr in cache_set]
-            writable = [
-                entry.state.writable
-                for cache_set in sets
-                for entry in cache_set.values()
-            ]
-            lines = np.array(addrs, dtype=np.int64)
-            order = np.argsort(lines)
-            return lines[order], np.asarray(writable, dtype=bool)[order]
-
-        def membership(sorted_lines, seg_lines):
-            """(hit mask, clipped insertion index) for a record window."""
-            size = sorted_lines.shape[0]
-            if size == 0:
-                zeros = np.zeros(seg_lines.shape[0], dtype=np.intp)
-                return np.zeros(seg_lines.shape[0], dtype=bool), zeros
-            idx = np.searchsorted(sorted_lines, seg_lines)
-            np.minimum(idx, size - 1, out=idx)
-            return sorted_lines[idx] == seg_lines, idx
-
-        def replay_lru(array, seq):
-            """Commit a pure-hit sequence's exact LRU effects on one array.
-
-            The reference bumps ``_clock`` once per hit and stamps the
-            entry; only each line's *last* hit is observable, at
-            ``clock_before + its 1-based hit ordinal``.
-            """
-            base = array._clock
-            n = seq.shape[0]
-            uniq, first_pos = np.unique(seq[::-1], return_index=True)
-            last_ordinal = n - first_pos
-            sets = array._sets
-            set_index = array._geometry.set_index
-            for line_addr, ordinal in zip(uniq.tolist(), last_ordinal.tolist()):
-                sets[set_index(line_addr)][line_addr].last_use = base + ordinal
-            array._clock = base + n
-
-        def run_vector(core, decoded, index, stop, now, limit, strict):
-            types_arr = decoded.types_array
-            lines_arr = decoded.lines_array
-            gaps_arr = decoded.gaps_array
-            gap_prefix = decoded.gap_prefix
-            atypes = decoded.atypes
-            lines = decoded.lines
-            gaps = decoded.gaps
-            data_array = l1d_caches[core]
-            instr_array = l1i_caches[core]
-            d_snap = None
-            i_snap = None
-            while True:
-                # ---- vectorized pure-L1-hit span --------------------------
-                first_hit = False
-                if stop - index >= min_span and limit - now >= min_budget:
-                    # Scalar pre-gate: only pay for numpy planning when
-                    # both the first record and the record at
-                    # ``min_span - 1`` are L1 hits right now.  During a
-                    # pure-hit span membership and writability never
-                    # improve (hits don't insert lines; a non-writable
-                    # line can't become writable without a miss), so a
-                    # currently-unhittable record there proves no
-                    # committable span exists — skipping two snapshot
-                    # builds and a window oracle.
-                    for probe in (index, index + min_span - 1):
-                        atype0 = atypes[probe]
-                        if atype0 is IFETCH:
-                            entry0 = instr_array.lookup(lines[probe])
-                            first_hit = entry0 is not None
-                        else:
-                            entry0 = data_array.lookup(lines[probe])
-                            first_hit = entry0 is not None and (
-                                atype0 is not WRITE or entry0.state.writable
-                            )
-                        if not first_hit:
-                            break
-                if first_hit:
-                    if d_snap is None:
-                        d_snap = snapshot(data_array)
-                    if i_snap is None:
-                        i_snap = snapshot(instr_array)
-                    d_lines, d_writable = d_snap
-                    i_lines, i_writable = i_snap
-                    # Plan: grow a window until the first non-hit (or stop),
-                    # so short spans never pay for a full-run oracle.
-                    # The scheduling limit bounds how far a span can
-                    # commit — completion times grow by at least
-                    # ``l1_latency`` per record — so don't classify
-                    # records the limit truncation would discard anyway.
-                    plan_stop = stop
-                    if limit != INFINITY:
-                        budget_cap = index + int((limit - now) / l1_latency) + 2
-                        if budget_cap < plan_stop:
-                            plan_stop = budget_cap
-                    n_hits = 0
-                    window = 64
-                    pos = index
-                    while pos < plan_stop:
-                        end = (
-                            plan_stop
-                            if plan_stop - pos < window
-                            else pos + window
-                        )
-                        seg_lines = lines_arr[pos:end]
-                        seg_types = types_arr[pos:end]
-                        d_hit, d_idx = membership(d_lines, seg_lines)
-                        is_write = seg_types == WRITE_CODE
-                        if is_write.any():
-                            ok = d_hit & (~is_write | d_writable[d_idx])
-                        else:
-                            ok = d_hit
-                        is_instr = seg_types == IFETCH_CODE
-                        if is_instr.any():
-                            i_hit, _ = membership(i_lines, seg_lines)
-                            ok = np.where(is_instr, i_hit, ok)
-                        if not ok.all():
-                            n_hits += int(np.argmin(ok))
-                            break
-                        n_hits += end - pos
-                        pos = end
-                        window <<= 3
-                    if n_hits >= min_span:
-                        # Exact per-record completion times: the
-                        # reference advances ``now = (now + gap) +
-                        # l1_latency``, two separately rounded float
-                        # adds per record.  ``np.cumsum`` (sequential
-                        # accumulation, never pairwise) over the
-                        # interleaved (gap, latency) increments performs
-                        # the identical sequence of float64 adds, so the
-                        # clocks match the reference bit-for-bit even
-                        # when ``now`` carries a fractional DRAM-queue
-                        # component or the gaps are themselves
-                        # fractional.
-                        incr = np.empty(2 * n_hits + 1, dtype=np.float64)
-                        incr[0] = now
-                        incr[1::2] = gaps_arr[index : index + n_hits]
-                        incr[2::2] = l1_latency
-                        t = np.cumsum(incr)[2::2]
-                        if limit == INFINITY:
-                            n = n_hits
-                            yielded = False
-                        else:
-                            # First record whose completion triggers the
-                            # reference yield check ends the span.
-                            k = int(
-                                np.searchsorted(
-                                    t, limit, "right" if strict else "left"
-                                )
-                            )
-                            if k < n_hits:
-                                n = k + 1
-                                yielded = True
-                            else:
-                                n = n_hits
-                                yielded = False
-                        span_end = float(t[n - 1])
-                        span_lines = lines_arr[index : index + n]
-                        span_types = types_arr[index : index + n]
-                        span_instr = span_types == IFETCH_CODE
-                        span_write = span_types == WRITE_CODE
-                        n_instr = int(np.count_nonzero(span_instr))
-                        n_data = n - n_instr
-                        n_write = int(np.count_nonzero(span_write))
-                        if n_instr:
-                            d_seq = span_lines[~span_instr]
-                            i_seq = span_lines[span_instr]
-                        else:
-                            d_seq = span_lines
-                            i_seq = None
-                        if n_data:
-                            replay_lru(data_array, d_seq)
-                        if n_instr:
-                            replay_lru(instr_array, i_seq)
-                        if n_write:
-                            # Writes only landed on writable lines, and
-                            # MODIFIED stays writable: the snapshot's
-                            # writability view remains valid.
-                            written = np.unique(span_lines[span_write])
-                            lookup = data_array.lookup
-                            for line_addr in written.tolist():
-                                entry = lookup(line_addr)
-                                entry.state = MODIFIED
-                                entry.dirty = True
-                        run_gaps = float(gap_prefix[index + n] - gap_prefix[index])
-                        if run_gaps:
-                            latency_buckets[COMPUTE] += run_gaps
-                        latency_buckets[L1_HIT_TIME] += n * l1_latency
-                        miss_status[L1_HIT] += n
-                        if n_data:
-                            counters["l1d_hits"] += n_data
-                            energy_counts[L1D_READ] += n_data
-                        if n_instr:
-                            counters["l1i_hits"] += n_instr
-                            energy_counts[L1I_READ] += n_instr
-                        if n_write:
-                            energy_counts[L1D_WRITE] += n_write
-                        index += n
-                        now = span_end
-                        if yielded:
-                            return index, now, True
-                        if index >= stop:
-                            return index, now, False
-                        # A pure-hit span leaves L1 membership (and the
-                        # writability of every snapshotted line) intact:
-                        # the snapshots stay valid for the next attempt.
-                # ---- per-record delegation: batched closure ---------------
-                new_index, now, yielded = run_hits(
-                    core, decoded, index, stop, now, limit, strict
-                )
-                if new_index != index:
-                    # Replica fills change L1 membership.
-                    d_snap = None
-                    i_snap = None
-                    index = new_index
-                if yielded:
-                    return index, now, True
-                if index >= stop:
-                    return index, now, False
-                # ---- inline local-home read hit ---------------------------
-                if home_step is None:
-                    return index, now, False
-                atype = atypes[index]
-                if atype is WRITE:
-                    return index, now, False
-                is_ifetch = atype is IFETCH
-                gap = gaps[index]
-                issue = now + gap
-                latency = home_step(core, lines[index], is_ifetch, issue)
-                if latency is None:
-                    return index, now, False
-                if gap:
-                    latency_buckets[COMPUTE] += gap
-                now = issue + latency
-                index += 1
-                if is_ifetch:  # the L1 fill changed membership
-                    i_snap = None
-                else:
-                    d_snap = None
-                if now >= limit and (not strict or now > limit):
-                    return index, now, True
-                if index >= stop:
-                    return index, now, False
-
-        return run_vector
 
     # ------------------------------------------------------------------
     # Miss handling

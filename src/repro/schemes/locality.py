@@ -146,33 +146,6 @@ class LocalityAwareScheme(ProtocolEngine):
             return home != core
         return home not in self._cluster_map[core]
 
-    def _home_service_guards(self) -> bool:
-        """Non-cluster locality qualifies for inline local-home servicing.
-
-        The base assumptions hold under this scheme's own hooks: with no
-        cluster map, :meth:`local_lookup` of a line whose *home* entry is
-        in the requester's slice takes the free-probe branch (the replica
-        probe is physically the home tag lookup), and
-        :meth:`replica_would_help` is ``home != core`` — False at the
-        home — so no replica is created.  Cluster-level replication is
-        declined (probes cross the mesh), as are further overrides of the
-        hooks this analysis covers.
-        """
-        if self._cluster_map is not None:
-            return False
-        if (
-            "local_lookup" in self.__dict__
-            or "replica_slice_for" in self.__dict__
-            or "replica_would_help" in self.__dict__
-            or type(self).local_lookup is not LocalityAwareScheme.local_lookup
-            or type(self).replica_slice_for
-            is not LocalityAwareScheme.replica_slice_for
-            or type(self).replica_would_help
-            is not LocalityAwareScheme.replica_would_help
-        ):
-            return False
-        return self._home_request_stock()
-
     # ------------------------------------------------------------------
     # Local replica lookup (Section 2.2.1 / 2.2.2)
     # ------------------------------------------------------------------
@@ -221,55 +194,6 @@ class LocalityAwareScheme(ProtocolEngine):
             # itself retains cluster-level ownership (E/M).
             return LocalHit(latency, MESIState.SHARED), probe_cost
         return LocalHit(latency, replica.state), probe_cost
-
-    def _make_replica_service(self):
-        """Batched-kernel replica fast path (see the base-class hook).
-
-        A locality-aware replica hit is constant-latency and coherence-free
-        whenever the local slice holds a replica (reads in any state,
-        writes only against an E/M replica the classifier already granted
-        — a write against an S replica needs a directory upgrade and ends
-        the run).  Cluster-level replication is declined: the probe and
-        the write's hierarchical invalidation cross the mesh.  The reuse
-        counter is bumped through the same saturating increment as
-        :meth:`local_lookup`, so classifier feedback at the eventual
-        eviction/invalidation sees identical values.
-        """
-        if self._cluster_map is not None:
-            return None
-        if (
-            "local_lookup" in self.__dict__
-            or type(self).local_lookup is not LocalityAwareScheme.local_lookup
-            # The closure hardcodes the non-cluster slice choice
-            # (slices[core]); a replica_slice_for override would change
-            # where local_lookup probes.
-            or "replica_slice_for" in self.__dict__
-            or type(self).replica_slice_for
-            is not LocalityAwareScheme.replica_slice_for
-        ):
-            return None
-        slices = self.slices
-        MODIFIED = MESIState.MODIFIED
-
-        def service(core: int, line_addr: int, write: bool):
-            llc = slices[core]
-            replica = llc.lookup(line_addr)
-            if not isinstance(replica, ReplicaEntry):
-                # No replica — or the local slice holds the *home* entry,
-                # which local_lookup routes through the home path.
-                return None
-            if write and not replica.state.writable:
-                return None
-            replica.reuse.increment()
-            replica.l1_copy = True
-            llc.touch(replica)
-            if write:
-                replica.state = MODIFIED
-                replica.dirty = True
-                return MODIFIED, False
-            return replica.state, False
-
-        return service
 
     def _hierarchical_invalidation(
         self, writer: int, line_addr: int, replica_slice: int, now: float

@@ -54,39 +54,6 @@ class VictimReplicationScheme(ProtocolEngine):
         dirty = replica.dirty or replica.state == MESIState.MODIFIED
         return LocalHit(float(self.config.llc_data_latency), state, dirty), probe_cost
 
-    def _make_replica_service(self):
-        """Batched-kernel replica fast path (see the base-class hook).
-
-        A VR replica hit is the exclusive move: the replica leaves the
-        slice and the line (dirty data included) fills the L1 — entirely
-        local, constant-latency.  Writes are serviceable only against an
-        E/M replica; an S replica cannot satisfy them (the home's
-        invalidation sweep collects it) and ends the run.  Because VR
-        overrides :meth:`handle_l1_eviction` (victim placement can evict
-        slice entries with full protocol), the base closure only batches
-        VR replica hits whose L1 fill evicts nothing.
-        """
-        if (
-            "local_lookup" in self.__dict__
-            or type(self).local_lookup is not VictimReplicationScheme.local_lookup
-        ):
-            return None
-        slices = self.slices
-        MODIFIED = MESIState.MODIFIED
-
-        def service(core: int, line_addr: int, write: bool):
-            llc = slices[core]
-            replica = llc.replica(line_addr)
-            if replica is None:
-                return None
-            if write and not replica.state.writable:
-                return None
-            llc.remove(line_addr)
-            dirty = replica.dirty or replica.state == MODIFIED
-            return (MODIFIED if write else replica.state), dirty
-
-        return service
-
     # ------------------------------------------------------------------
     # L1 evictions: place victims into the local slice when cheap
     # ------------------------------------------------------------------

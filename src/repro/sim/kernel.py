@@ -1,60 +1,42 @@
 """Pluggable simulation kernels: the reference loop and the fast path.
 
 :func:`repro.sim.simulator.simulate` drives a :class:`ProtocolEngine`
-through a :class:`TraceSet` via a *kernel* — the event loop that pops the
+through a trace set via a *kernel* — the event loop that pops the
 next-ready core off a heap, charges its compute gap, issues the access
 and reschedules it.  Two interchangeable kernels implement that loop:
 
 * :class:`ReferenceKernel` — the original, deliberately simple loop.  It
   reads each record straight out of the numpy arrays and goes through
-  the heap for every event.  This is the semantic baseline every other
+  the heap for every event.  This is the semantic baseline the fast
   kernel must match bit-for-bit.
 
-* :class:`FastKernel` — the optimized hot path.  It hoists all
-  per-record conversion work out of the loop (one vectorized
-  :class:`~repro.workloads.trace.DecodedTrace` pass per core), charges
-  the Compute bucket once per core instead of once per record, uses the
+* :class:`FastKernel` — the optimized hot path, and the only loop that
+  consumes streamed traces.  It executes each core out of decoded
+  *windows* (:class:`~repro.workloads.trace.DecodedTrace`): a
+  materialized :class:`~repro.workloads.trace.TraceSet` hands over each
+  core's whole cached decoded view as one window, and a
+  :class:`~repro.workloads.streaming.StreamingTraceSet` hands over
+  bounded, coverage-checked chunks.  Records are issued through the
   engine's specialized access closure
-  (:meth:`~repro.schemes.base.ProtocolEngine.make_fast_access`) and
-  runs a core *inline* for as long as it remains globally earliest,
+  (:meth:`~repro.schemes.base.ProtocolEngine.make_fast_access`), and a
+  popped core runs *inline* for as long as it remains globally earliest,
   skipping heap push/pop pairs entirely.
 
-* :class:`BatchedKernel` — the run-length hot path.  Where the fast
-  kernel still pays per-record kernel overhead (a closure call plus a
-  heap-front tuple comparison and several Counter updates per access),
-  the batched kernel hands whole *runs* of same-core L1 hits — and,
-  for replicating schemes, constant-latency local-LLC-replica hits
-  (:meth:`~repro.schemes.base.ProtocolEngine._make_replica_service`) —
-  to the engine's run-servicing closure
-  (:meth:`~repro.schemes.base.ProtocolEngine.make_batched_access`):
-  one call services every consecutive hit until the next true miss,
-  upgrade, non-local victim disposal, barrier (:class:`DecodedTrace`
-  ``run_stops``), or scheduling yield, and flushes the run's statistics
-  once (Compute charged from the decoded ``gap_prefix`` numpy slice).
-  Misses go through the same specialized fast-access path the fast
-  kernel uses.  When the engine declines the specialization
-  (overridden hooks, TLA hints), the batched kernel falls back to the
-  fast loop wholesale.
+Both kernels produce **identical** :class:`~repro.sim.stats.SimStats` —
+not merely statistically equivalent: the fast kernel processes events in
+exactly the order the reference kernel would, the only floating-point
+accumulation it batches (the Compute bucket, once per window) is a sum
+of integer-valued cycle counts (order-independent), and the per-event
+clock arithmetic keeps the reference's exact operation grouping (float
+addition is not associative).  The :mod:`repro.testing` differential
+harness enforces this equivalence across schemes, workloads and seeds —
+and nightly over randomized fuzzed profiles.
 
-* :class:`VectorKernel` — the array-at-a-time hot path.  Same run loop
-  as the batched kernel, but runs go to the engine's *vector* closure
-  (:meth:`~repro.schemes.base.ProtocolEngine.make_vector_access`),
-  which proves and commits whole pure-L1-hit spans with numpy array
-  operations (sorted-snapshot membership oracles, ``gap_prefix``
-  completion times, exact vectorized LRU replay) and services replica
-  and local-home hits per record in between.  Falls back to the
-  batched kernel when the engine declines (fractional gaps, overridden
-  hooks).
-
-All kernels produce **identical** :class:`~repro.sim.stats.SimStats` —
-not merely statistically equivalent: the optimized kernels process
-events in exactly the order the reference kernel would, every
-floating-point accumulation they batch is a sum of integer-valued cycle
-counts (order-independent), and the per-event clock arithmetic keeps
-the reference's exact operation grouping (float addition is not
-associative).  The :mod:`repro.testing` differential harness enforces
-this equivalence across schemes, workloads and seeds — and nightly over
-randomized fuzzed profiles.
+*Refilling a starved window preserves global event order.*  Only the
+popped core — the globally earliest — can exhaust its window, and no
+other core may legally execute while an earlier-keyed core still has
+records, so pulling the starved core's next window (and only then
+proceeding) replays exactly the event order of one whole-trace window.
 
 Kernels accept an optional ``perturb_seed``: when set, *scheduler
 pushes* that are provably order-free — the time-zero seeding of the
@@ -74,10 +56,11 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.common.types import AccessType
 from repro.sim import stats as stat_names
+from repro.workloads.streaming import window_decoded
+from repro.workloads.trace import TraceSet, check_coverage, region_bounds
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports stats)
     from repro.schemes.base import ProtocolEngine
-    from repro.workloads.trace import TraceSet
 
 
 class SimulationKernel:
@@ -189,22 +172,30 @@ class _ReferenceState:
         self.waiting.clear()
 
 
+
 class FastKernel(SimulationKernel):
-    """Hoisted, run-ahead event loop — bit-identical to the reference.
+    """Hoisted, run-ahead window loop — bit-identical to the reference.
 
     Optimizations over :class:`ReferenceKernel` (each preserves event
     order and exact arithmetic; see the module docstring):
 
-    1. per-core :class:`DecodedTrace` views kill numpy scalar extraction
-       and ``AccessType(...)`` construction in the loop;
-    2. the Compute bucket is charged once per core from the decoded
-       trace's precomputed non-barrier gap sum;
+    1. per-core :class:`DecodedTrace` windows kill numpy scalar
+       extraction and ``AccessType(...)`` construction in the loop; a
+       window's boxed lists are hoisted into per-core slots when it is
+       pulled, so a pop reads plain lists;
+    2. when every gap of the set is integer-valued, the Compute bucket is
+       charged once per window from its precomputed non-barrier gap sum
+       (fractional gaps are charged per record, in reference order);
     3. the engine's :meth:`make_fast_access` closure (when available)
        replaces the generic ``access()`` entry point, with attribute
        lookups and result-object construction hoisted out;
     4. a popped core keeps executing inline while its next event time is
        earlier than the heap front, eliminating push/pop pairs (a large
        win whenever one core runs ahead of or behind the pack).
+
+    Only a core whose window is exhausted pulls the next one; a
+    materialized set has a single window per core, so its second pull
+    ends the core.
     """
 
     name = "fast"
@@ -212,20 +203,7 @@ class FastKernel(SimulationKernel):
     def run(self, engine: "ProtocolEngine", traces: "TraceSet") -> None:
         stats = engine.stats
         num_cores = engine.config.num_cores
-        decoded = traces.decoded()
-        atypes = [d.atypes for d in decoded]
-        lines = [d.lines for d in decoded]
-        gaps = [d.gaps for d in decoded]
-        lengths = [d.length for d in decoded]
-
-        # Batched Compute charging is exact only for integer-valued gaps
-        # (order-independent float sum); fractional gaps fall back to
-        # per-record charging in reference accumulation order.
-        batch_compute = all(d.gaps_integral for d in decoded)
-        if batch_compute:
-            total_compute = sum(d.compute_cycles for d in decoded)
-            if total_compute:
-                stats.add_latency(stat_names.COMPUTE, total_compute)
+        pull, close, batch_compute = _open_windows(traces)
 
         fast_access = None
         maker = getattr(engine, "make_fast_access", None)
@@ -244,164 +222,11 @@ class FastKernel(SimulationKernel):
         COMPUTE = stat_names.COMPUTE
         SYNCHRONIZATION = stat_names.SYNCHRONIZATION
 
-        rng = self._rng()
-        positions = [0] * num_cores
-        waiting: dict[int, float] = {}
-        finished = 0
-        seed_order = list(range(num_cores))
-        if rng is not None:
-            rng.shuffle(seed_order)
-        ready: list[tuple[float, int]] = [(0.0, core) for core in seed_order]
-        heapq.heapify(ready)
-
-        def release_barrier() -> None:
-            release_time = max(waiting.values())
-            # Charge waits in deterministic (arrival) order — see the
-            # reference kernel: only heap pushes are provably order-free.
-            for wcore, arrival in waiting.items():
-                wait = release_time - arrival
-                if wait:
-                    add_latency(SYNCHRONIZATION, wait)
-            released = list(waiting)
-            if rng is not None:
-                rng.shuffle(released)
-            for wcore in released:
-                heappush(ready, (release_time, wcore))
-            waiting.clear()
-
-        while ready:
-            now, core = heappop(ready)
-            core_atypes = atypes[core]
-            core_lines = lines[core]
-            core_gaps = gaps[core]
-            length = lengths[core]
-            index = positions[core]
-            # Run this core inline while it stays globally earliest.
-            while True:
-                if index >= length:
-                    finished += 1
-                    core_finish[core] = now
-                    if waiting and len(waiting) + finished >= num_cores:
-                        release_barrier()
-                    break
-                atype = core_atypes[index]
-                index += 1
-                if atype is BARRIER:
-                    positions[core] = index
-                    waiting[core] = now
-                    if len(waiting) + finished >= num_cores:
-                        release_barrier()
-                    break
-                gap = core_gaps[index - 1]
-                if gap and not batch_compute:
-                    add_latency(COMPUTE, gap)
-                issue_time = now + gap
-                now = issue_time + fast_access(
-                    core, atype, core_lines[index - 1], issue_time
-                )
-                if ready and ready[0] < (now, core):
-                    positions[core] = index
-                    heappush(ready, (now, core))
-                    break
-
-
-class BatchedKernel(FastKernel):
-    """Run-length batched event loop — bit-identical to the reference.
-
-    The locality phenomenon the paper exploits — long same-core runs of
-    accesses that hit close to the core — is also the simulator's own
-    hot path: in hit-heavy regimes the fast kernel spends most of its
-    time on per-record loop overhead for records that cannot affect the
-    schedule (an L1 hit costs exactly ``l1_latency`` and touches no
-    shared resource).  This kernel amortizes that overhead over whole
-    runs:
-
-    1. when a core is popped (globally earliest), the upcoming run's
-       hard boundary is read from the decoded trace's ``run_stops``
-       (next barrier / end of trace) — a batch never crosses a barrier;
-    2. the scheduling budget is frozen once per run: the heap front is
-       invariant while the core executes inline, so its (time, core)
-       tie-break collapses to one float ``limit`` plus a strictness bit
-       instead of a tuple comparison per record;
-    3. the engine's :meth:`make_batched_access` closure services every
-       consecutive L1 hit — and, for replicating schemes, every
-       constant-latency local-replica hit, the paper's target regime —
-       inside those bounds in one tight loop with a single statistics
-       flush per run (Compute charged from the numpy ``gap_prefix``
-       slice when gaps are integral).  Replica-run boundaries are
-       dynamic, detected by the closure itself: a record whose service
-       would mutate replica or directory state non-locally (true miss,
-       write upgrade, a fill evicting an L1 victim with no local
-       replica to merge into) ends the run before any side effect;
-    4. the record that ends the run — a miss — goes through the same
-       specialized fast-access path the fast kernel uses, followed by
-       the exact heap check the fast kernel would perform.
-
-    Per-record clock arithmetic keeps the reference grouping
-    (``(now + gap) + latency``), so results are bit-identical even with
-    fractional timestamps; when the engine declines the specialization
-    (overridden hooks, TLA hints, non-stock L1s), the whole run()
-    falls back to :class:`FastKernel`.
-    """
-
-    name = "batched"
-
-    #: Minimum scheduling budget, in multiples of the L1 hit latency,
-    #: before a run is handed to the engine's batched closure.  Below it
-    #: the per-run overhead (closure call + statistics flush) exceeds the
-    #: per-record savings, so records are single-stepped exactly like the
-    #: fast kernel.  Purely a performance heuristic: the closure enforces
-    #: the budget per record regardless, so any value is bit-identical.
-    BATCH_MIN_L1_LATENCIES = 8.0
-
-    def _make_run_service(self, engine: "ProtocolEngine", charge_gaps: bool):
-        """The engine closure this kernel hands whole runs to.
-
-        Subclass hook (the vector kernel swaps in its array-at-a-time
-        closure); the run loop is otherwise identical.
-        """
-        maker = getattr(engine, "make_batched_access", None)
-        return maker(charge_gaps=charge_gaps) if maker is not None else None
-
-    def _fallback_run(self, engine: "ProtocolEngine", traces: "TraceSet") -> None:
-        """Where to go when the engine declines the run-service closure."""
-        FastKernel.run(self, engine, traces)
-
-    def run(self, engine: "ProtocolEngine", traces: "TraceSet") -> None:
-        stats = engine.stats
-        num_cores = engine.config.num_cores
-        decoded = traces.decoded()
-
-        charge_gaps = not all(d.gaps_integral for d in decoded)
-        run_hits = self._make_run_service(engine, charge_gaps)
-        if run_hits is None:
-            self._fallback_run(engine, traces)
-            return
-        fast_access = None
-        fast_maker = getattr(engine, "make_fast_access", None)
-        if fast_maker is not None:
-            fast_access = fast_maker()
-        if fast_access is None:
-            engine_access = engine.access
-
-            def fast_access(core, atype, line_addr, now, _access=engine_access):
-                return _access(core, atype, line_addr, now).latency
-
-        lengths = [d.length for d in decoded]
-        gaps = [d.gaps for d in decoded]
-        atypes = [d.atypes for d in decoded]
-        lines = [d.lines for d in decoded]
-        run_stops = [d.run_stops for d in decoded]
-
-        add_latency = stats.add_latency
-        latency_buckets = stats.latency
-        core_finish = stats.core_finish
-        heappush, heappop = heapq.heappush, heapq.heappop
-        BARRIER = AccessType.BARRIER
-        COMPUTE = stat_names.COMPUTE
-        SYNCHRONIZATION = stat_names.SYNCHRONIZATION
-        INFINITY = float("inf")
-        batch_margin = self.BATCH_MIN_L1_LATENCIES * engine.config.l1_latency
+        # Per-core slots of the current window (empty until the first pull).
+        atypes: list[list] = [[] for _ in range(num_cores)]
+        lines: list[list] = [[] for _ in range(num_cores)]
+        gaps: list[list] = [[] for _ in range(num_cores)]
+        lengths = [0] * num_cores
 
         rng = self._rng()
         positions = [0] * num_cores
@@ -428,230 +253,107 @@ class BatchedKernel(FastKernel):
                 heappush(ready, (release_time, wcore))
             waiting.clear()
 
-        while ready:
-            now, core = heappop(ready)
-            # The heap is untouched while this core runs inline, so the
-            # scheduling budget (front time + tie-break) is per-pop.
-            if ready:
-                limit, front_core = ready[0]
-                strict = front_core > core  # tie → this core keeps running
-            else:
-                limit = INFINITY
-                strict = True
-            # Runs shorter than the batch margin (a core in lockstep with
-            # the heap front) are single-stepped; the closure only engages
-            # once this core has fallen far enough behind the pack that a
-            # long hit run can amortize the flush.
-            batch_below = limit - batch_margin
-            core_decoded = decoded[core]
-            core_stops = run_stops[core]
-            core_atypes = atypes[core]
-            core_lines = lines[core]
-            core_gaps = gaps[core]
-            length = lengths[core]
-            index = positions[core]
-            while True:
-                if index >= length:
-                    finished += 1
-                    core_finish[core] = now
-                    if waiting and len(waiting) + finished >= num_cores:
-                        release_barrier()
-                    break
-                if now <= batch_below:
-                    stop = core_stops[index]
-                    if stop > index:
-                        index, now, yielded = run_hits(
-                            core, core_decoded, index, stop, now, limit, strict
-                        )
-                        if yielded:
-                            positions[core] = index
-                            heappush(ready, (now, core))
-                            break
-                        if index >= length:
-                            continue  # finished inline — handled at loop top
-                        # Fall through: the record at ``index`` missed the
-                        # L1 (or is the run-bounding barrier) and is
-                        # single-stepped below.
-                # Single-step one record — the fast kernel's iteration:
-                # per-record Compute charge (exact: integral sums, or the
-                # reference's own order), specialized access, then the
-                # exact heap check.
-                atype = core_atypes[index]
-                index += 1
-                if atype is BARRIER:
-                    # Park the core (no heap check — the fast kernel
-                    # breaks here too; the release re-arms us).
-                    positions[core] = index
-                    waiting[core] = now
-                    if len(waiting) + finished >= num_cores:
-                        release_barrier()
-                    break
-                gap = core_gaps[index - 1]
-                if gap:
-                    latency_buckets[COMPUTE] += gap
-                issue_time = now + gap
-                now = issue_time + fast_access(
-                    core, atype, core_lines[index - 1], issue_time
-                )
-                if ready and ready[0] < (now, core):
-                    positions[core] = index
-                    heappush(ready, (now, core))
-                    break
+        try:
+            while ready:
+                now, core = heappop(ready)
+                core_atypes = atypes[core]
+                core_lines = lines[core]
+                core_gaps = gaps[core]
+                length = lengths[core]
+                index = positions[core]
+                # Run this core inline while it stays globally earliest.
+                while True:
+                    if index >= length:
+                        window = pull(core)
+                        if window is not None:
+                            atypes[core] = core_atypes = window.atypes
+                            lines[core] = core_lines = window.lines
+                            gaps[core] = core_gaps = window.gaps
+                            lengths[core] = length = window.length
+                            index = 0
+                            if batch_compute and window.compute_cycles:
+                                add_latency(COMPUTE, window.compute_cycles)
+                            continue
+                        finished += 1
+                        core_finish[core] = now
+                        if waiting and len(waiting) + finished >= num_cores:
+                            release_barrier()
+                        break
+                    atype = core_atypes[index]
+                    index += 1
+                    if atype is BARRIER:
+                        positions[core] = index
+                        waiting[core] = now
+                        if len(waiting) + finished >= num_cores:
+                            release_barrier()
+                        break
+                    gap = core_gaps[index - 1]
+                    if gap and not batch_compute:
+                        add_latency(COMPUTE, gap)
+                    issue_time = now + gap
+                    now = issue_time + fast_access(
+                        core, atype, core_lines[index - 1], issue_time
+                    )
+                    if ready and ready[0] < (now, core):
+                        positions[core] = index
+                        heappush(ready, (now, core))
+                        break
+        finally:
+            close()
 
 
-class VectorKernel(BatchedKernel):
-    """Array-at-a-time event loop — bit-identical to the reference.
+def _open_windows(traces):
+    """``(pull, close, integral)`` for one :class:`FastKernel` run.
 
-    Same run loop as :class:`BatchedKernel` (frozen per-pop scheduling
-    budget, ``run_stops`` barrier bounds, single-step miss fallback), but
-    runs are handed to the engine's *vector* closure
-    (:meth:`~repro.schemes.base.ProtocolEngine.make_vector_access`),
-    which executes whole pure-L1-hit spans as numpy array operations —
-    ``searchsorted`` membership/writability oracles over a sorted L1
-    snapshot, ``gap_prefix`` completion times truncated at the
-    scheduling limit with one binary search, and an exact vectorized
-    LRU replay — instead of a per-record Python loop.  Replica hits and
-    local-home read hits are serviced per record inside the same
-    closure, so replica-heavy phases still batch end to end.
-
-    The columnar representation only pays off on long spans: per span
-    there is fixed numpy dispatch overhead, so in lockstep regimes
-    (every run cut short by the scheduler) the batched — or even the
-    fast — kernel wins.  :func:`choose_kernel` encodes that boundary.
-    When the engine declines the vector closure (fractional gaps, no
-    batching support), the whole run falls back to the batched kernel.
+    ``pull(core)`` returns the core's next :class:`DecodedTrace` window,
+    or ``None`` once its records are exhausted; ``close()`` releases the
+    stream; ``integral`` says whether every gap of the whole set is
+    integer-valued (only then is a per-window Compute sum exact).  A
+    materialized set yields each core's cached decoded view once.  A
+    streaming set yields its source's chunks, each checked against the
+    region map as it arrives (the set cannot be validated up front
+    without consuming it).
     """
+    if not getattr(traces, "is_streaming", False):
+        pending = list(traces.decoded())
+        integral = all(window.gaps_integral for window in pending)
 
-    name = "vector"
+        def pull(core):
+            window = pending[core]
+            pending[core] = None
+            return window
 
-    def _make_run_service(self, engine: "ProtocolEngine", charge_gaps: bool):
-        maker = getattr(engine, "make_vector_access", None)
-        return maker(charge_gaps=charge_gaps) if maker is not None else None
+        return pull, _no_close, integral
 
-    def _fallback_run(self, engine: "ProtocolEngine", traces: "TraceSet") -> None:
-        # A fresh instance, not super().run(): the inherited run() would
-        # re-dispatch through this class's _make_run_service and recurse.
-        BatchedKernel(perturb_seed=self.perturb_seed).run(engine, traces)
+    name = traces.name
+    starts, ends = region_bounds(traces.regions)
+    source = traces.open_source()
+    source_pull = source.pull
+
+    def pull(core):
+        chunk = source_pull(core)
+        if chunk is None:
+            return None
+        types, lines, gaps = chunk
+        check_coverage(name, starts, ends, core, types, lines)
+        return window_decoded(types, lines, gaps)
+
+    return pull, source.close, traces.gaps_integral
 
 
-#: Registered kernels by name (extension point for future accelerated cores).
+def _no_close() -> None:
+    """A materialized set holds no stream to release."""
+
+
+#: Registered kernels by name.
 KERNELS: dict[str, type[SimulationKernel]] = {
     ReferenceKernel.name: ReferenceKernel,
     FastKernel.name: FastKernel,
-    BatchedKernel.name: BatchedKernel,
-    VectorKernel.name: VectorKernel,
 }
 
 #: Kernel used when the caller does not choose one.  The fast kernel is
 #: differentially verified against the reference, so it is the default.
 DEFAULT_KERNEL = "fast"
-
-#: Pseudo-kernel name: probe the trace's run-length structure and pick
-#: ``fast`` or ``batched`` per simulation (see :func:`choose_kernel`).
-#: Resolved by :func:`resolve_kernel` when it is given the traces —
-#: :func:`repro.sim.simulator.simulate` passes them.
-AUTO_KERNEL = "auto"
-
-#: ``auto`` thresholds.  The batched kernel only wins when same-core
-#: runs are long enough to amortize its per-run closure call and
-#: statistics flush, which requires (a) barrier segments substantially
-#: longer than the ~8-L1-latency batching margin and (b) enough per-core
-#: load imbalance that a core actually stays globally earliest for a
-#: while (in lockstep traces the scheduler cuts every run short and the
-#: fast kernel's single-stepping is cheaper).  Both are purely
-#: throughput heuristics: every kernel is bit-identical, so a wrong
-#: pick costs speed, never correctness.
-AUTO_MIN_SEGMENT_LENGTH = 64.0
-AUTO_MIN_IMBALANCE = 1.10
-
-#: Relaxed segment threshold when the engine batches local-replica hits
-#: (``ProtocolEngine.supports_replica_batching``, i.e. VR / ASR / the
-#: locality-aware schemes on a stock machine).  Replica hits used to end
-#: every run, and each one batched saves a whole specialized miss-path
-#: dispatch instead of a single L1 probe — so much shorter runs already
-#: amortize the per-run flush, and replica-heavy workloads (the regime
-#: the paper optimizes) should reach the batched kernel sooner.
-AUTO_MIN_SEGMENT_LENGTH_REPLICA = 32.0
-
-#: Segment threshold above which a batched pick upgrades to the vector
-#: kernel.  Vector spans carry fixed numpy dispatch overhead per span
-#: (snapshot, searchsorted oracle, LRU replay), repaid only when
-#: uninterrupted same-core spans can grow to hundreds of records —
-#: i.e. when barrier segments are far longer than the batched kernel's
-#: own amortization point.  Below it the per-record batched closure is
-#: cheaper.  Throughput heuristic only: both kernels are bit-identical.
-AUTO_MIN_SEGMENT_LENGTH_VECTOR = 256.0
-
-
-def _batched_or_vector(
-    decoded: "list", engine: "ProtocolEngine | None", mean_segment: float
-) -> str:
-    """Tie-break a batched pick: upgrade to vector when spans can pay.
-
-    Requires (a) segments long enough for array-at-a-time spans to
-    amortize their per-span numpy overhead, (b) integral gaps (fractional
-    gaps make the vector closure decline and fall back to batched
-    wholesale — picking it would only add a wasted probe), and (c) an
-    engine that actually vectorizes spans (``supports_vector_spans``).
-    """
-    if mean_segment < AUTO_MIN_SEGMENT_LENGTH_VECTOR:
-        return BatchedKernel.name
-    if not all(d.gaps_integral for d in decoded):
-        return BatchedKernel.name
-    # getattr: engine stubs (tests) need not implement the probe.
-    supports = getattr(engine, "supports_vector_spans", None)
-    if supports is not None and supports():
-        return VectorKernel.name
-    return BatchedKernel.name
-
-
-def choose_kernel(traces: "TraceSet", engine: "ProtocolEngine | None" = None) -> str:
-    """Pick ``fast``/``batched``/``vector`` from the trace's structure.
-
-    Probes the same barrier structure the batched kernel's ``run_stops``
-    boundaries encode (via the vectorized ``DecodedTrace.barrier_count``
-    — the probe must stay cheap even when it then picks ``fast``): the
-    mean records per barrier segment measures how long an uninterrupted
-    same-core run *could* get, and the spread of per-core work (records
-    plus compute cycles, a cycle-count proxy) measures whether a
-    straggler core will ever be far enough behind the pack for batching
-    to engage.  Cores with *empty* traces finish at time zero and never
-    enter the scheduler, so they are excluded from both probes (they
-    would deflate the mean segment length and distort the imbalance
-    ratio on partially-idle workloads).  A single *active* core skips
-    the imbalance test: it owns the scheduler outright, the batched
-    kernel's best case.
-
-    ``engine`` (optional — :func:`repro.sim.simulator.simulate` passes
-    it) adds a replica-friendliness signal: when the engine batches
-    local-replica hits, the segment threshold relaxes to
-    :data:`AUTO_MIN_SEGMENT_LENGTH_REPLICA` so VR/locality runs pick
-    ``batched`` sooner.
-    """
-    decoded = [d for d in traces.decoded() if d.length]
-    total_records = sum(d.length for d in decoded)
-    if total_records == 0:
-        return DEFAULT_KERNEL
-    segments = sum(d.barrier_count + 1 for d in decoded)
-    mean_segment = total_records / segments
-    min_segment = AUTO_MIN_SEGMENT_LENGTH
-    # getattr: engine stubs (tests) need not implement the probe.
-    supports = getattr(engine, "supports_replica_batching", None)
-    if supports is not None and supports():
-        min_segment = AUTO_MIN_SEGMENT_LENGTH_REPLICA
-    if mean_segment < min_segment:
-        return FastKernel.name
-    if len(decoded) == 1:
-        # A single active core owns the scheduler outright once the idle
-        # cores drain at time zero — the longest possible runs, with no
-        # imbalance to measure.
-        return _batched_or_vector(decoded, engine, mean_segment)
-    weights = [d.length + d.compute_cycles for d in decoded]
-    mean_weight = sum(weights) / len(weights)
-    imbalance = max(weights) / mean_weight if mean_weight else 1.0
-    if imbalance >= AUTO_MIN_IMBALANCE:
-        return _batched_or_vector(decoded, engine, mean_segment)
-    return FastKernel.name
 
 
 def kernel_names() -> Iterable[str]:
@@ -661,27 +363,16 @@ def kernel_names() -> Iterable[str]:
 
 def resolve_kernel(
     kernel: "str | SimulationKernel | type[SimulationKernel] | None",
-    traces: "TraceSet | None" = None,
-    engine: "ProtocolEngine | None" = None,
 ) -> SimulationKernel:
     """Normalize a kernel selector (name, class, instance or None).
 
     ``None`` falls back to the ``REPRO_SIM_KERNEL`` environment variable,
-    then to :data:`DEFAULT_KERNEL`.  ``"auto"`` requires ``traces`` (the
-    probe's input): :func:`repro.sim.simulator.simulate` passes them,
-    along with the ``engine`` for the replica-friendliness signal.
+    then to :data:`DEFAULT_KERNEL`.
     """
     if kernel is None:
         import os
 
         kernel = os.environ.get("REPRO_SIM_KERNEL") or DEFAULT_KERNEL
-    if kernel == AUTO_KERNEL:
-        if traces is None:
-            raise ValueError(
-                "kernel 'auto' needs the trace to probe; use "
-                "simulate(..., kernel='auto') or choose_kernel(traces)"
-            )
-        kernel = choose_kernel(traces, engine)
     if isinstance(kernel, SimulationKernel):
         return kernel
     if isinstance(kernel, type) and issubclass(kernel, SimulationKernel):

@@ -14,14 +14,13 @@ Synchronization bucket.  :class:`~repro.workloads.trace.TraceSet`
 guarantees all cores carry the same number of barriers.
 
 The event loop itself is pluggable (:mod:`repro.sim.kernel`): the
-``reference`` kernel is the simple per-record baseline, the ``fast``
-kernel is the hoisted/run-ahead hot path, the ``batched`` kernel
-services whole runs of same-core L1 hits per scheduler entry, and the
-``vector`` kernel commits long L1-hit spans array-at-a-time; all four
-are bit-identical — an equivalence the :mod:`repro.testing` differential
-harness enforces (continuously over fuzzed profiles in the nightly CI).
-Select a kernel per call (``simulate(..., kernel="reference")``), per
-process (``REPRO_SIM_KERNEL=reference``), or via the experiment CLI
+``reference`` kernel is the simple per-record baseline and the ``fast``
+kernel is the hoisted/run-ahead window loop that also consumes streamed
+traces; the two are bit-identical — an equivalence the
+:mod:`repro.testing` differential harness enforces (continuously over
+fuzzed profiles in the nightly CI).  Select a kernel per call
+(``simulate(..., kernel="reference")``), per process
+(``REPRO_SIM_KERNEL=reference``), or via the experiment CLI
 (``python -m repro experiments --kernel reference ...``).
 """
 
@@ -29,14 +28,11 @@ from __future__ import annotations
 
 from repro.schemes.base import ProtocolEngine
 from repro.sim.kernel import (  # noqa: F401  (re-exported for convenience)
-    AUTO_KERNEL,
     DEFAULT_KERNEL,
     KERNELS,
-    BatchedKernel,
     FastKernel,
     ReferenceKernel,
     SimulationKernel,
-    choose_kernel,
     resolve_kernel,
 )
 from repro.sim.stats import SimStats
@@ -51,27 +47,24 @@ def simulate(
     """Run ``traces`` through ``engine`` and return the collected stats.
 
     ``kernel`` selects the event-loop implementation by name
-    (``"fast"``/``"batched"``/``"reference"``), instance, or class;
-    ``"auto"`` probes the trace's run-length structure and picks fast vs
-    batched (:func:`repro.sim.kernel.choose_kernel`); ``None`` uses the
+    (``"fast"``/``"reference"``), instance, or class; ``None`` uses the
     ``REPRO_SIM_KERNEL`` environment variable, defaulting to the fast
-    kernel.
+    kernel.  ``traces`` may be a materialized :class:`TraceSet` or a
+    :class:`~repro.workloads.streaming.StreamingTraceSet`; a stream
+    always runs the fast kernel's window loop (the reference loop indexes
+    whole traces), keeping the selected kernel's ``perturb_seed``.
     """
     config = engine.config
     if traces.num_cores != config.num_cores:
         raise ValueError(
             f"trace has {traces.num_cores} cores but machine has {config.num_cores}"
         )
-    if getattr(traces, "is_streaming", False):
-        # Segmented sets cannot be materialized (resolve_kernel's auto
-        # probe would decode them); the streaming loop validates window
-        # coverage as chunks arrive and produces bit-identical stats.
-        from repro.sim.streaming import run_streaming
-
-        run_streaming(engine, traces, kernel)
-    else:
-        traces.validate_coverage()
-        resolve_kernel(kernel, traces, engine).run(engine, traces)
+    # A no-op for streams: their windows are checked as they arrive.
+    traces.validate_coverage()
+    runner = resolve_kernel(kernel)
+    if getattr(traces, "is_streaming", False) and not isinstance(runner, FastKernel):
+        runner = FastKernel(perturb_seed=runner.perturb_seed)
+    runner.run(engine, traces)
     engine.finalize()
     stats = engine.stats
     stats.completion_time = max(stats.core_finish) if stats.core_finish else 0.0

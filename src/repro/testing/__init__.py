@@ -8,13 +8,13 @@ ships with the machinery to prove it correct:
   same (engine, trace) pair and diff the **full**
   :class:`~repro.sim.stats.SimStats` (counters, energy events, latency
   buckets, miss statuses, per-core finish times, completion time).  The
-  optimized kernels (fast, batched) are only allowed to exist because
-  this harness shows them bit-identical to the reference loop; on a
+  optimized fast kernel is only allowed to exist because this harness
+  shows it bit-identical to the reference loop; on a
   mismatch it bisects to the first cycle-stamped divergent stat field.
 
 * :mod:`repro.testing.fuzz` — randomized benchmark profiles for
   differential fuzzing beyond the checked-in workloads; drives
-  :func:`verify_all_kernels` from the ``python -m repro.testing
+  :func:`verify_all_kernels` from the ``python -m repro testing
   verify-kernels --fuzz N`` CLI, which the nightly CI schedules and
   whose failure bundles reproduce locally via ``--repro``.
 

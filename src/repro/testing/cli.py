@@ -7,7 +7,7 @@ Usage::
     python -m repro testing verify-kernels --repro case-7.json  # replay a bundle
 
 ``verify-kernels`` differentially verifies every registered simulation
-kernel (fast, batched, ...) against the reference event loop:
+kernel (currently ``fast``) against the reference event loop:
 
 * with no options, over the same three checked-in workload regimes the
   tier-1 differential suite pins (quick sanity run);

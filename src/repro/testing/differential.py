@@ -1,12 +1,12 @@
 """Differential kernel verification.
 
-The optimized simulation kernels (fast, batched) claim bit-identical
-results to the reference loop.  This module makes that claim testable:
+The optimized ``fast`` simulation kernel claims bit-identical results
+to the reference loop.  This module makes that claim testable:
 build the same engine per kernel, run the same traces through each, and
 diff every field of the resulting :class:`~repro.sim.stats.SimStats`.
 A non-empty diff is a kernel bug by definition — there is no tolerance,
-because every batched floating-point accumulation in the optimized
-kernels is a sum of integer-valued cycle counts (order-independent),
+because the only batched floating-point accumulation in the fast
+kernel is a sum of integer-valued cycle counts (order-independent),
 and event order itself is preserved exactly.
 
 Typical use::
@@ -24,7 +24,7 @@ leads the report with the cycle-stamped stat fields that diverged there
 (:func:`locate_first_divergence`).
 
 The randomized-profile fuzzing front-end lives in
-:mod:`repro.testing.fuzz` (CLI: ``python -m repro.testing
+:mod:`repro.testing.fuzz` (CLI: ``python -m repro testing
 verify-kernels --fuzz N --seed S``), which the nightly CI runs across
 all registered kernels.
 """
@@ -312,9 +312,8 @@ def verify_all_kernels(
     """Verify every registered kernel against the reference in one call.
 
     ``candidates`` defaults to all registered kernels except
-    ``reference`` (currently ``fast``, ``batched`` and ``vector``),
-    making this the four-way check the fuzzing CLI and nightly CI
-    drive.  Returns the reference stats on success.
+    ``reference`` (currently ``fast``), making this the check the
+    fuzzing CLI and nightly CI drive.  Returns the reference stats on success.
     """
     if candidates is None:
         candidates = [name for name in kernel_names() if name != reference]

@@ -12,8 +12,8 @@ seed + scheme) reproduces the exact simulation anywhere.
 
 Entrypoints::
 
-    python -m repro.testing verify-kernels --fuzz 25 --seed 7
-    python -m repro.testing verify-kernels --repro fuzz-failures/case-....json
+    python -m repro testing verify-kernels --fuzz 25 --seed 7
+    python -m repro testing verify-kernels --repro fuzz-failures/case-....json
 
 The nightly CI (``.github/workflows/nightly-fuzz.yml``) runs the first
 form over a fresh seed every night and uploads failure bundles as
@@ -39,9 +39,7 @@ from repro.workloads.benchmarks import BenchmarkProfile, build_trace
 from repro.workloads.trace import CoreTrace, TraceSet
 
 #: Schemes the fuzzer samples from (every engine family, several RTs,
-#: plus the adaptive locality scheme — the only engine that qualifies
-#: for the vector kernel's inline local-home service, so its spans must
-#: be fuzzed too).
+#: plus the adaptive locality scheme).
 FUZZ_SCHEMES = (
     "S-NUCA", "R-NUCA", "VR", "ASR", "RT-1", "RT-2", "RT-3", "RT-8", "Locality",
 )
@@ -105,14 +103,13 @@ class FuzzCase:
 def replica_heavy_profile(rng: random.Random, name: str) -> BenchmarkProfile:
     """A randomized *replica-dominated* profile.
 
-    The regime the batched kernel's local-replica fast path targets (and
-    the paper's headline mechanism): high-reuse shared-read working sets
+    The paper's headline mechanism: high-reuse shared-read working sets
     larger than the L1 but far smaller than the LLC, swept in long
     low-gap loops, so VR/ASR/locality schemes service most L1 misses
     from local replicas.  A slice of migratory and written-shared
     traffic keeps locality classifiers moving through promotions and
     demotions (and exercises writes through E/M replicas), so the fuzz
-    crosses every replica-run boundary event: true misses, upgrades,
+    crosses every replica-hit boundary event: true misses, upgrades,
     invalidations, reuse saturation and classifier demotion.
     """
     f_ifetch = rng.choice((0.0, 0.05, 0.15))

@@ -1,13 +1,14 @@
 """Streaming giga-trace pipeline: bounded-memory trace segmentation.
 
 Materialized simulation holds a whole :class:`~repro.workloads.trace.TraceSet`
-— and, for the optimized kernels, its boxed
+— and, for the fast kernel, its boxed
 :class:`~repro.workloads.trace.DecodedTrace` views — in memory at once.
 Real ChampSim captures are multi-GB, so this module feeds the simulator
 in bounded **segments** instead:
 
-* :class:`SegmentSource` — the per-core pull interface the streaming
-  event loop (:mod:`repro.sim.streaming`) drains: ``pull(core)`` returns
+* :class:`SegmentSource` — the per-core pull interface the fast
+  kernel's window loop (:class:`repro.sim.kernel.FastKernel`) drains:
+  ``pull(core)`` returns
   the core's next bounded ``(types, lines, gaps)`` arrays, or ``None``
   when that core's stream is exhausted.  Two implementations:
 
@@ -25,7 +26,7 @@ in bounded **segments** instead:
 
 * :class:`StreamingTraceSet` — the :class:`TraceSet`-shaped façade
   (``is_streaming = True``) that :func:`repro.sim.simulator.simulate`
-  dispatches to the streaming executor.  It is *re-openable*: each
+  hands to the fast kernel's window loop.  It is *re-openable*: each
   simulation run calls :meth:`open_source` for a fresh source, so one
   streaming set can drive a whole experiment grid.
 
@@ -58,7 +59,7 @@ from repro.common.types import AccessType, LineClass
 from repro.workloads.trace import CoreTrace, DecodedTrace, TraceSet
 
 #: Default records per core per chunk.  At ~17 bytes/record of array
-#: data plus the boxed window the kernels touch (~600 bytes/record
+#: data plus the boxed window the fast kernel touches (~600 bytes/record
 #: worst case), a 64-core machine stays well under a GB.
 DEFAULT_CHUNK_RECORDS = 65536
 
@@ -132,7 +133,7 @@ class ArraySegmentSource(SegmentSource):
 
     The backing arrays stay as-is (compact numpy, no boxing); each pull
     is a zero-copy slice, so the only per-window cost is the boxed
-    :class:`DecodedTrace` view the executor builds — bounded by the
+    :class:`DecodedTrace` view the fast kernel builds — bounded by the
     chunk size instead of the trace length.
     """
 
@@ -309,7 +310,7 @@ class SegmentProducer:
 class StreamingTraceSet:
     """A re-openable streaming trace with the :class:`TraceSet` surface
     the simulator needs (``is_streaming = True`` routes
-    :func:`repro.sim.simulator.simulate` to the streaming executor).
+    :func:`repro.sim.simulator.simulate` to the fast kernel's window loop).
 
     ``source_factory`` opens a fresh :class:`SegmentSource` per
     simulation run, so the set can drive many runs (an experiment grid)
@@ -319,8 +320,8 @@ class StreamingTraceSet:
     validation is by construction.
 
     ``gaps_integral`` must be ``True`` only when *every* record's gap is
-    provably integer-valued: the streaming executor batches Compute
-    charges on its strength, which is exact only for integer sums.
+    provably integer-valued: the fast kernel then charges Compute once
+    per window, which is exact only for integer sums.
     When in doubt leave it ``False`` — per-record charging in reference
     order is always bit-identical, just slower.
     """
@@ -331,7 +332,7 @@ class StreamingTraceSet:
     source_factory: "Callable[[], SegmentSource]"
     provenance: "dict | None" = None
     gaps_integral: bool = False
-    #: Total records/barriers when known (CLI reporting, kernel hints).
+    #: Total records/barriers when known (CLI reporting).
     total_records: "int | None" = None
     total_barriers: "int | None" = None
 
@@ -351,7 +352,7 @@ class StreamingTraceSet:
     # -- TraceSet surface ---------------------------------------------------
     def validate_coverage(self) -> None:
         """Coverage holds by construction (see the class docstring);
-        the streaming executor additionally validates each window."""
+        the fast kernel additionally validates each window."""
 
     def classify(self, line_addr: int) -> LineClass:
         index = bisect.bisect_right(self._starts, line_addr) - 1
@@ -527,9 +528,8 @@ class TraceSegment:
     ``decoded`` holds a bounded :class:`DecodedTrace` per core (cores
     already exhausted get an empty one); ``start`` / ``stop`` give each
     core's global record offsets — the explicit handoff state a consumer
-    needs to stitch windows (the streaming executor carries richer state
-    — clocks, pending barriers — in
-    :class:`repro.sim.streaming.StreamHandoff`).
+    needs to stitch windows (the fast kernel's window loop carries the
+    rest — clocks, pending barriers — in its own per-core slots).
     """
 
     index: int
@@ -552,7 +552,7 @@ def iter_segments(
     Every core advances by up to ``chunk_records`` per segment; the
     yielded windows cover every record exactly once and carry the
     per-core global offsets, so ``concat(segments) == trace`` per core.
-    This is the inspection-facing counterpart of the executor's
+    This is the inspection-facing counterpart of the fast kernel's
     per-core starvation-driven pulls (which need no lock-step).
     """
     chunk = stream_chunk_records(chunk_records)

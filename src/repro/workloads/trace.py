@@ -37,42 +37,28 @@ class DecodedTrace:
     * ``lines`` — native ints;
     * ``gaps`` — native floats;
     * ``compute_cycles`` — the summed non-barrier compute gap, so the
-      Compute latency bucket can be charged once per core instead of once
-      per record.  ``gaps_integral`` records whether every gap is
+      Compute latency bucket can be charged once per window instead of
+      once per record.  ``gaps_integral`` records whether every gap is
       integer-valued: only then is the batched float sum order-independent
-      (exact), so kernels must fall back to per-record charging when it is
-      False to stay bit-identical to the reference accumulation order.
+      (exact), so the fast kernel falls back to per-record charging when
+      it is False to stay bit-identical to the reference accumulation
+      order.
 
-    The boxed views (``atypes``/``lines``/``gaps``) are built lazily on
-    first attribute access and cached: constructing a ``DecodedTrace``
-    costs only the cheap vectorized summaries (length, compute cycles,
-    integrality).  Callers that never enter a boxed hot loop — the
-    reference kernel, the ``choose_kernel`` probe, streaming windows for
-    idle cores — therefore never pay the ~30x boxed-list memory blowup,
-    and ``CoreTrace.release_decoded`` frees it deterministically.
-
-    Two run-length views support the batched kernel, which services whole
-    runs of same-core L1 hits without re-entering the scheduler.  Both
-    are computed lazily on first access (cached) — only the batched
-    kernel reads them, and the reference/fast kernels should not pay for
-    their construction:
-
-    * ``run_stops`` — for each index, the index of the next barrier record
-      at or after it (or the trace length).  A batched run starting at
-      ``i`` may never execute past ``run_stops[i]``: barriers are global
-      synchronization events the event loop must arbitrate.
-    * ``gap_prefix`` — ``float64`` prefix sums of the raw gaps
-      (``gap_prefix[j] - gap_prefix[i]`` is the compute charge of records
-      ``[i, j)``), so a run's Compute contribution is one vectorized
-      numpy-slice difference instead of per-record accumulation.  Exact —
-      and therefore usable by a bit-identical kernel — only when
-      ``gaps_integral`` (integer partial sums are order-independent).
+    A view is one *window* of the fast kernel's loop: a whole core's
+    trace (:meth:`CoreTrace.decoded`) or one streamed chunk
+    (:func:`repro.workloads.streaming.window_decoded`).  The boxed views
+    (``atypes``/``lines``/``gaps``) are built lazily on first attribute
+    access and cached: constructing a ``DecodedTrace`` costs only the
+    cheap vectorized summaries (length, compute cycles, integrality), so
+    callers that never enter the boxed hot loop — the reference kernel —
+    never pay the ~30x boxed-list memory blowup, and
+    ``CoreTrace.release_decoded`` frees it deterministically.
     """
 
     __slots__ = (
         "length", "compute_cycles", "gaps_integral",
         "_types_array", "_gaps_array", "_lines_array",
-        "_atypes", "_lines", "_gaps", "_run_stops", "_gap_prefix",
+        "_atypes", "_lines", "_gaps",
     )
 
     def __init__(self, trace: "CoreTrace") -> None:
@@ -84,16 +70,14 @@ class DecodedTrace:
         self.gaps_integral = trace.gaps.dtype.kind in "iub" or bool(
             np.all(trace.gaps == np.floor(trace.gaps))
         )
-        # Backing arrays retained for the lazy boxed/run-length views;
-        # frozen while this decoded view is cached (see CoreTrace.decoded).
+        # Backing arrays retained for the lazy boxed views; frozen while
+        # this decoded view is cached (see CoreTrace.decoded).
         self._types_array = trace.types
         self._gaps_array = trace.gaps
         self._lines_array = trace.lines
         self._atypes: list | None = None
         self._lines: list[int] | None = None
         self._gaps: list[float] | None = None
-        self._run_stops: list[int] | None = None
-        self._gap_prefix: np.ndarray | None = None
 
     @property
     def atypes(self) -> list:
@@ -123,51 +107,44 @@ class DecodedTrace:
             self._gaps = gaps
         return gaps
 
-    @property
-    def barrier_count(self) -> int:
-        """Number of barrier records (vectorized; no run_stops needed)."""
-        return int(np.count_nonzero(self._types_array == AccessType.BARRIER))
 
-    @property
-    def run_stops(self) -> list[int]:
-        stops = self._run_stops
-        if stops is None:
-            barrier_at = np.flatnonzero(self._types_array == AccessType.BARRIER)
-            boundaries = np.append(barrier_at, self.length)
-            stops = boundaries[
-                np.searchsorted(barrier_at, np.arange(self.length), side="left")
-            ].tolist()
-            self._run_stops = stops
-        return stops
+def region_bounds(
+    regions: "list[tuple[Region, LineClass]]",
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Sorted ``(starts, ends)`` line arrays of a region map."""
+    bounds = sorted((region.base, region.end) for region, _cls in regions)
+    starts = np.array([base for base, _end in bounds], dtype=np.int64)
+    ends = np.array([end for _base, end in bounds], dtype=np.int64)
+    return starts, ends
 
-    @property
-    def types_array(self) -> np.ndarray:
-        """Raw ``uint8`` access-type codes (columnar view for the vector
-        kernel's span oracles; frozen while the decoded view is cached)."""
-        return self._types_array
 
-    @property
-    def lines_array(self) -> np.ndarray:
-        """Raw ``int64`` line addresses (columnar view for the vector
-        kernel's span oracles; frozen while the decoded view is cached)."""
-        return self._lines_array
-
-    @property
-    def gaps_array(self) -> np.ndarray:
-        """Raw per-record gaps (columnar view for the vector kernel's
-        exact clock replay; frozen while the decoded view is cached).
-        May carry an integer dtype — widening to float64 is exact."""
-        return self._gaps_array
-
-    @property
-    def gap_prefix(self) -> np.ndarray:
-        prefix = self._gap_prefix
-        if prefix is None:
-            prefix = np.concatenate(
-                ([0.0], np.cumsum(self._gaps_array, dtype=np.float64))
-            )
-            self._gap_prefix = prefix
-        return prefix
+def check_coverage(
+    name: str,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    core: int,
+    types: np.ndarray,
+    lines: np.ndarray,
+) -> None:
+    """Raise ``ValueError`` if a non-barrier record of ``core`` targets a
+    line outside every ``[starts[i], ends[i])`` region (see
+    :func:`region_bounds`).  Vectorized: one ``searchsorted`` per call."""
+    data = lines[types != int(AccessType.BARRIER)]
+    if data.size == 0:
+        return
+    if starts.size == 0:
+        bad = int(data[0])
+    else:
+        index = np.searchsorted(starts, data, side="right") - 1
+        covered = (index >= 0) & (data < ends[np.maximum(index, 0)])
+        if covered.all():
+            return
+        bad = int(data[int(np.argmin(covered))])
+    raise ValueError(
+        f"trace {name!r}: core {core} accesses line {bad:#x}, which no "
+        f"region of the region map covers — every accessed line must fall "
+        f"inside a declared (Region, LineClass) entry"
+    )
 
 
 @dataclasses.dataclass
@@ -220,10 +197,10 @@ class TraceSet:
     """Per-core traces plus the data-class layout of the address space."""
 
     #: Class marker the simulator dispatches on: a materialized set is
-    #: simulated in one piece, while a streaming set
+    #: simulated in one window per core, while a streaming set
     #: (:class:`repro.workloads.streaming.StreamingTraceSet`, which
-    #: duck-types this surface) is fed to the kernels in bounded-memory
-    #: segments.
+    #: duck-types this surface) is fed to the fast kernel in
+    #: bounded-memory windows.
     is_streaming = False
 
     name: str
@@ -256,9 +233,7 @@ class TraceSet:
         """Per-core :class:`DecodedTrace` views (cached on the cores).
 
         Cheap to call: the views' expensive boxed lists are built lazily
-        per core on first hot-loop attribute access, not here — probing
-        ``length``/``compute_cycles``/``barrier_count`` across all cores
-        (the ``choose_kernel`` path) allocates nothing.
+        per core on first hot-loop attribute access, not here.
         """
         return [trace.decoded() for trace in self.cores]
 
@@ -288,27 +263,9 @@ class TraceSet:
         """
         if self._coverage_checked:
             return
-        starts = np.array(self._starts, dtype=np.int64)
-        ends = np.array([end for _base, end, _cls in self._bases], dtype=np.int64)
-        barrier = int(AccessType.BARRIER)
-        for core_id, trace in enumerate(self.cores):
-            lines = trace.lines[trace.types != barrier]
-            if lines.size == 0:
-                continue
-            if starts.size == 0:
-                bad_line = int(lines[0])
-            else:
-                index = np.searchsorted(starts, lines, side="right") - 1
-                covered = (index >= 0) & (lines < ends[np.maximum(index, 0)])
-                if covered.all():
-                    continue
-                bad_line = int(lines[int(np.argmin(covered))])
-            raise ValueError(
-                f"trace {self.name!r}: core {core_id} accesses line "
-                f"{bad_line:#x}, which no region of the TraceSet region map "
-                f"covers — every accessed line must fall inside a declared "
-                f"(Region, LineClass) entry"
-            )
+        starts, ends = region_bounds(self.regions)
+        for core, trace in enumerate(self.cores):
+            check_coverage(self.name, starts, ends, core, trace.types, trace.lines)
         self._coverage_checked = True
 
     def classify(self, line_addr: int) -> LineClass:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.__main__ import COMMANDS, _expand, build_parser, main
+from repro.experiments.cli import COMMANDS, _expand, build_parser, main
 from repro.experiments.runner import ExperimentSetup
 from repro.experiments.spec import command_names, get_command
 from repro.experiments.store import ResultStore
@@ -33,9 +33,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
 
-    def test_kernel_accepts_auto(self):
-        args = build_parser().parse_args(["fig6", "--kernel", "auto"])
-        assert args.kernel == "auto"
+    @pytest.mark.parametrize("kernel", ["reference", "fast"])
+    def test_kernel_accepts_registered_kernels(self, kernel):
+        args = build_parser().parse_args(["fig6", "--kernel", kernel])
+        assert args.kernel == kernel
+
+    @pytest.mark.parametrize("kernel", ["auto", "batched", "vector"])
+    def test_kernel_rejects_removed_kernels(self, kernel, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fig6", "--kernel", kernel])
+        assert "'reference', 'fast'" in capsys.readouterr().err
 
     def test_expand_all_covers_every_registered_command(self):
         assert _expand("all") == command_names()
@@ -187,13 +194,7 @@ class TestUnifiedSurface:
         assert main(["store", "stats", "--store", str(store_root)]) == 0
         assert "0 entries" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("module,expected", [
-        ("repro.experiments", "--list"),
-        ("repro.testing", "--help"),
-    ])
-    def test_deprecated_forwarders_work_and_point_at_repro(
-        self, module, expected
-    ):
+    def test_old_module_spelling_is_gone(self):
         import os
         import subprocess
         import sys
@@ -207,10 +208,7 @@ class TestUnifiedSurface:
             p for p in (package_root, env.get("PYTHONPATH", "")) if p
         )
         proc = subprocess.run(
-            [sys.executable, "-m", module, expected],
+            [sys.executable, "-m", "repro.experiments", "--list"],
             capture_output=True, text=True, env=env, timeout=120,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout  # the command itself still renders
-        assert "deprecated" in proc.stderr
-        assert f"python -m repro {module.rsplit('.', 1)[1]}" in proc.stderr
+        assert proc.returncode != 0

@@ -156,7 +156,7 @@ class TestEndToEnd:
             kernel: run_one(
                 ExperimentSetup(tiny_config, kernel=kernel), "RT-3", name
             )
-            for kernel in ("reference", "fast", "batched", "auto")
+            for kernel in ("reference", "fast")
         }
         reference = results.pop("reference")
         for kernel, result in results.items():
@@ -169,7 +169,7 @@ class TestEndToEnd:
         command end to end (CLI default machine is small → 16 cores),
         including the Figure 1 profiler, which needs the inferred
         region map."""
-        from repro.experiments.__main__ import main
+        from repro.experiments.cli import main
 
         traces = build_trace(
             get_profile("DEDUP"), small_config, scale=0.05, seed=4
@@ -182,7 +182,7 @@ class TestEndToEnd:
         assert name in captured.out
 
     def test_cli_rejects_missing_archive_fast(self, tmp_path, capsys):
-        from repro.experiments.__main__ import main
+        from repro.experiments.cli import main
 
         with pytest.raises(SystemExit):
             main(["fig6", "--benchmarks", f"imported:{tmp_path}/absent.npz"])

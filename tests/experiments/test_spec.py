@@ -90,10 +90,10 @@ class TestFingerprint:
         labeled = store.key_for(
             RunPoint("RT-3", "DEDUP", label="probe").fingerprint(setup)
         )
-        batched = store.key_for(
-            RunPoint("RT-3", "DEDUP", kernel="batched").fingerprint(setup)
+        reference = store.key_for(
+            RunPoint("RT-3", "DEDUP", kernel="reference").fingerprint(setup)
         )
-        assert base == labeled == batched
+        assert base == labeled == reference
 
     def test_config_scale_seed_invalidate(self, setup):
         store = ResultStore.memory()

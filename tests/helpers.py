@@ -21,190 +21,20 @@ class FixedLatencyEngine:
     quantities (barrier arrivals, release times, finish times) are exactly
     computable, which makes the kernel scheduling properties testable in
     isolation from the machine model.  Records every dispatched access in
-    ``calls`` as ``(core, access_type_value, line, issue_time)``.
-
-    Implements :meth:`make_batched_access` (the batched kernel's
-    run-servicing contract — see
-    :meth:`repro.schemes.base.ProtocolEngine.make_batched_access`) so the
-    kernel's run boundaries are testable in isolation: every record is a
-    "hit" at the fixed latency except lines in ``batch_miss_lines``,
-    which the closure refuses so the kernel must single-step them through
-    :meth:`access`.  Lines in ``replica_lines`` model constant-latency
-    local-replica hits: both entry points service them at
-    ``replica_latency`` with ``LLC_REPLICA_HIT`` status, mirroring the
-    replica fast path's two-latency runs (and its flush split between
-    L1-hit and replica-hit statuses).  Closure-serviced records land in
-    the same ``calls`` list with the same issue timestamps, so a
-    divergence from the reference kernel pinpoints a run that crossed a
-    boundary it must not cross (barrier, scheduling yield, or a
-    non-batchable record).
+    ``calls`` as ``(core, access_type_value, line, issue_time)``, so a
+    divergence between kernels pinpoints the first reordered access.
     """
 
-    def __init__(
-        self,
-        num_cores: int,
-        latency: float = 5.0,
-        batch_miss_lines: frozenset[int] = frozenset(),
-        replica_lines: frozenset[int] = frozenset(),
-        replica_latency: float | None = None,
-    ) -> None:
+    def __init__(self, num_cores: int, latency: float = 5.0) -> None:
         self.config = types.SimpleNamespace(num_cores=num_cores, l1_latency=latency)
         self.stats = SimStats(num_cores)
         self.latency = latency
-        self.batch_miss_lines = batch_miss_lines
-        self.replica_lines = replica_lines
-        self.replica_latency = (
-            replica_latency if replica_latency is not None else 3.0 * latency
-        )
         self.calls: list[tuple[int, int, int, float]] = []
 
     def access(self, core: int, atype: AccessType, line_addr: int, now: float) -> AccessResult:
         self.calls.append((core, int(atype), line_addr, now))
-        if line_addr in self.replica_lines and line_addr not in self.batch_miss_lines:
-            self.stats.record_miss(MissStatus.LLC_REPLICA_HIT)
-            return AccessResult(self.replica_latency, MissStatus.LLC_REPLICA_HIT)
         self.stats.record_miss(MissStatus.L1_HIT)
         return AccessResult(self.latency, MissStatus.L1_HIT)
-
-    def make_batched_access(self, charge_gaps: bool = False):
-        from repro.sim import stats as stat_names
-
-        latency = self.latency
-        replica_latency = self.replica_latency
-        miss_lines = self.batch_miss_lines
-        replica_lines = self.replica_lines
-        calls = self.calls
-        miss_status = self.stats.miss_status
-        latency_buckets = self.stats.latency
-        COMPUTE = stat_names.COMPUTE
-        L1_HIT = MissStatus.L1_HIT
-        LLC_REPLICA_HIT = MissStatus.LLC_REPLICA_HIT
-
-        def run_hits(core, decoded, index, stop, now, limit, strict):
-            atypes = decoded.atypes
-            lines = decoded.lines
-            gaps = decoded.gaps
-            start = index
-            replicas = 0
-            yielded = False
-            while index < stop:
-                line_addr = lines[index]
-                if line_addr in miss_lines:
-                    break
-                if line_addr in replica_lines:
-                    record_latency = replica_latency
-                    replicas += 1
-                else:
-                    record_latency = latency
-                atype = atypes[index]
-                gap = gaps[index]
-                index += 1
-                if charge_gaps and gap:
-                    latency_buckets[COMPUTE] += gap
-                issue_time = now + gap
-                calls.append((core, int(atype), line_addr, issue_time))
-                now = issue_time + record_latency
-                if now >= limit and (not strict or now > limit):
-                    yielded = True
-                    break
-            hits = index - start
-            if hits:
-                if not charge_gaps:
-                    gap_prefix = decoded.gap_prefix
-                    run_gaps = float(gap_prefix[index] - gap_prefix[start])
-                    if run_gaps:
-                        latency_buckets[COMPUTE] += run_gaps
-                if hits - replicas:
-                    miss_status[L1_HIT] += hits - replicas
-                if replicas:
-                    miss_status[LLC_REPLICA_HIT] += replicas
-            return index, now, yielded
-
-        return run_hits
-
-    def make_vector_access(self, charge_gaps: bool = False):
-        """Array-at-a-time entry point mirroring
-        :meth:`repro.schemes.base.ProtocolEngine.make_vector_access`:
-        spans of plain fixed-latency hits are planned and timed in bulk
-        (the same interleaved-increment ``np.cumsum`` clock replay the
-        real engine uses, so issue timestamps stay bit-exact), while
-        replica hits and refused lines delegate to the batched closure
-        and the kernel's single-stepping.  Declines ``charge_gaps`` like
-        the real engine (per-record fractional Compute accumulation is
-        order-observable)."""
-        if charge_gaps:
-            return None
-        run_hits = self.make_batched_access(charge_gaps=False)
-        from repro.sim import stats as stat_names
-
-        latency = self.latency
-        miss_lines = self.batch_miss_lines
-        replica_lines = self.replica_lines
-        calls = self.calls
-        miss_status = self.stats.miss_status
-        latency_buckets = self.stats.latency
-        COMPUTE = stat_names.COMPUTE
-        L1_HIT = MissStatus.L1_HIT
-
-        def run_vector(core, decoded, index, stop, now, limit, strict):
-            atypes = decoded.atypes
-            lines = decoded.lines
-            gaps_arr = decoded.gaps_array
-            gap_prefix = decoded.gap_prefix
-            while True:
-                n_hits = 0
-                probe = index
-                while probe < stop:
-                    line_addr = lines[probe]
-                    if line_addr in miss_lines or line_addr in replica_lines:
-                        break
-                    probe += 1
-                    n_hits += 1
-                if n_hits:
-                    incr = np.empty(2 * n_hits + 1, dtype=np.float64)
-                    incr[0] = now
-                    incr[1::2] = gaps_arr[index : index + n_hits]
-                    incr[2::2] = latency
-                    chain = np.cumsum(incr)
-                    t = chain[2::2]
-                    issues = chain[1::2]
-                    k = int(np.searchsorted(t, limit, "right" if strict else "left"))
-                    if k < n_hits:
-                        n = k + 1
-                        yielded = True
-                    else:
-                        n = n_hits
-                        yielded = False
-                    for i in range(n):
-                        calls.append(
-                            (
-                                core,
-                                int(atypes[index + i]),
-                                lines[index + i],
-                                float(issues[i]),
-                            )
-                        )
-                    run_gaps = float(gap_prefix[index + n] - gap_prefix[index])
-                    if run_gaps:
-                        latency_buckets[COMPUTE] += run_gaps
-                    miss_status[L1_HIT] += n
-                    index += n
-                    now = float(t[n - 1])
-                    if yielded:
-                        return index, now, True
-                    if index >= stop:
-                        return index, now, False
-                new_index, now, yielded = run_hits(
-                    core, decoded, index, stop, now, limit, strict
-                )
-                progressed = new_index != index
-                index = new_index
-                if yielded:
-                    return index, now, True
-                if index >= stop or not progressed:
-                    return index, now, False
-
-        return run_vector
 
     def finalize(self) -> None:
         pass

@@ -10,11 +10,9 @@ from repro.schemes.snuca import SNucaScheme
 from repro.sim.kernel import (
     DEFAULT_KERNEL,
     KERNELS,
-    BatchedKernel,
     FastKernel,
     ReferenceKernel,
     SimulationKernel,
-    VectorKernel,
     kernel_names,
     resolve_kernel,
 )
@@ -33,17 +31,21 @@ def traces_small(request):
 
 class TestKernelResolution:
     def test_registry_contains_all_kernels(self):
-        assert set(kernel_names()) == {"reference", "fast", "batched", "vector"}
+        assert kernel_names() == ("reference", "fast")
         assert KERNELS["fast"] is FastKernel
-        assert KERNELS["batched"] is BatchedKernel
-        assert KERNELS["vector"] is VectorKernel
         assert DEFAULT_KERNEL == "fast"
 
     def test_resolve_by_name(self):
         assert isinstance(resolve_kernel("reference"), ReferenceKernel)
         assert isinstance(resolve_kernel("fast"), FastKernel)
-        assert isinstance(resolve_kernel("batched"), BatchedKernel)
-        assert isinstance(resolve_kernel("vector"), VectorKernel)
+
+    @pytest.mark.parametrize("name", ["batched", "vector", "auto"])
+    def test_removed_kernel_names_are_rejected(self, name, monkeypatch):
+        with pytest.raises(ValueError, match=r"available: \['fast', 'reference'\]"):
+            resolve_kernel(name)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", name)
+        with pytest.raises(ValueError, match="unknown simulation kernel"):
+            resolve_kernel(None)
 
     def test_resolve_passes_instances_through(self):
         kernel = FastKernel(perturb_seed=3)
@@ -91,39 +93,12 @@ class TestDecodedTraces:
                 trace.gaps[non_barrier].sum()
             )
 
-    def test_run_stops_point_at_next_barrier(self, traces_small):
-        _config, traces = traces_small
-        for trace in traces.cores:
-            decoded = trace.decoded()
-            barriers = [
-                i for i, t in enumerate(trace.types) if t == AccessType.BARRIER
-            ]
-            assert barriers, "BARNES traces carry barriers"
-            for index in range(decoded.length):
-                expected = next(
-                    (b for b in barriers if b >= index), decoded.length
-                )
-                assert decoded.run_stops[index] == expected
-
-    def test_gap_prefix_matches_cumulative_gaps(self, traces_small):
-        _config, traces = traces_small
-        trace = traces.cores[0]
-        decoded = trace.decoded()
-        assert decoded.gap_prefix[0] == 0.0
-        assert len(decoded.gap_prefix) == decoded.length + 1
-        total = 0.0
-        for index, gap in enumerate(decoded.gaps):
-            assert decoded.gap_prefix[index] == total
-            total += gap
-        assert decoded.gap_prefix[decoded.length] == total
-
-
 class TestFractionalGaps:
-    @pytest.mark.parametrize("kernel", ["fast", "batched", "vector"])
+    @pytest.mark.parametrize("kernel", ["fast"])
     def test_fractional_gaps_stay_bit_identical(self, kernel):
-        """Non-integer gaps disable batched Compute charging; the
-        optimized kernels must match the reference's per-record
-        accumulation order exactly."""
+        """Non-integer gaps disable per-window Compute charging; the fast
+        kernel must match the reference's per-record accumulation order
+        exactly."""
         import numpy as np
 
         from repro.common.params import MachineConfig
@@ -231,60 +206,18 @@ class TestFastAccessSpecialization:
         assert PlainSubclass(config).make_fast_access() is not None
 
 
-class TestBatchedAccessSpecialization:
-    def test_base_schemes_provide_batched_access(self, traces_small):
-        config, _traces = traces_small
-        for scheme in ("S-NUCA", "R-NUCA", "VR", "ASR", "RT-3"):
-            assert make_scheme(scheme, config).make_batched_access() is not None
-
-    def test_access_override_disables_batching_but_stays_exact(self, traces_small):
-        """An access() override must flow through the generic path — the
-        batched kernel falls back to the fast loop wholesale."""
-        config, traces = traces_small
-
-        class LoggingSNuca(SNucaScheme):
-            def __init__(self, cfg):
-                super().__init__(cfg)
-                self.seen = 0
-
-            def access(self, core, atype, line_addr, now):
-                self.seen += 1
-                return super().access(core, atype, line_addr, now)
-
-        assert LoggingSNuca(config).make_batched_access() is None
-        override_engine = LoggingSNuca(config)
-        overridden = simulate(override_engine, traces, kernel="batched")
-        assert override_engine.seen == traces.total_accesses()
-        baseline = simulate(SNucaScheme(config), traces, kernel="reference")
-        assert_stats_equal(baseline, overridden, context="batched override fallback")
-
-    def test_tla_hints_disable_batching(self, traces_small):
-        """TLA hints send a mesh message per Nth L1 hit — hits are no
-        longer schedule-free, so the run specialization must decline."""
+    def test_tla_hints_stay_exact(self, traces_small):
+        """TLA hints send a mesh message per Nth L1 hit from inside the
+        fast-access closure."""
         config, traces = traces_small
         tla_config = config.with_overrides(tla_hints=True)
-        engine = SNucaScheme(tla_config)
-        assert engine.make_batched_access() is None
-        # The kernel still produces bit-identical results via fallback.
         baseline = simulate(SNucaScheme(tla_config), traces, kernel="reference")
-        batched = simulate(SNucaScheme(tla_config), traces, kernel="batched")
-        assert_stats_equal(baseline, batched, context="tla fallback")
+        fast = simulate(SNucaScheme(tla_config), traces, kernel="fast")
+        assert_stats_equal(baseline, fast, context="tla hints")
 
-    def test_nonstock_l1_cache_disables_batching(self, traces_small):
-        from repro.cache.l1 import L1Cache
-
-        config, _traces = traces_small
-
-        class InstrumentedL1(L1Cache):
-            pass
-
-        engine = SNucaScheme(config)
-        engine.l1d[0] = InstrumentedL1(config.l1d)
-        assert engine.make_batched_access() is None
-
-    def test_batched_kernel_inline_finish_and_empty_cores(self):
-        """Cores whose whole trace is one run (no barriers, empty heap at
-        the end) finish inline; empty traces finish at t=0."""
+    def test_fast_kernel_inline_finish_and_empty_cores(self):
+        """A core whose whole trace runs inline (empty heap at the end)
+        finishes inline; empty traces finish at t=0."""
         import numpy as np
 
         from repro.common.params import MachineConfig
@@ -305,67 +238,17 @@ class TestBatchedAccessSpecialization:
             )
         traces = TraceSet("solo", cores, [(Region(0, 4096), LineClass.SHARED_RW)])
         reference = simulate(SNucaScheme(config), traces, kernel="reference")
-        batched = simulate(SNucaScheme(config), traces, kernel="batched")
-        assert_stats_equal(reference, batched, context="solo core")
-        assert batched.core_finish[1] == 0.0
-        assert batched.completion_time == batched.core_finish[0] > 0
-
-
-class TestVectorAccessSpecialization:
-    def test_base_schemes_provide_vector_access(self, traces_small):
-        config, _traces = traces_small
-        for scheme in ("S-NUCA", "R-NUCA", "VR", "ASR", "RT-3", "Locality"):
-            engine = make_scheme(scheme, config)
-            assert engine.make_vector_access() is not None, scheme
-            assert engine.supports_vector_spans(), scheme
-
-    def test_charge_gaps_declines_vectorization(self, traces_small):
-        """Fractional per-record Compute charging is order-observable —
-        the vector closure declines and the kernel falls back to
-        batched wholesale (which falls back to per-record charging)."""
-        config, _traces = traces_small
-        engine = make_scheme("S-NUCA", config)
-        assert engine.make_vector_access(charge_gaps=True) is None
-
-    def test_access_override_disables_vectorization_but_stays_exact(
-        self, traces_small
-    ):
-        config, traces = traces_small
-
-        class LoggingSNuca(SNucaScheme):
-            def __init__(self, cfg):
-                super().__init__(cfg)
-                self.seen = 0
-
-            def access(self, core, atype, line_addr, now):
-                self.seen += 1
-                return super().access(core, atype, line_addr, now)
-
-        assert LoggingSNuca(config).make_vector_access() is None
-        assert not LoggingSNuca(config).supports_vector_spans()
-        override_engine = LoggingSNuca(config)
-        overridden = simulate(override_engine, traces, kernel="vector")
-        assert override_engine.seen == traces.total_accesses()
-        baseline = simulate(SNucaScheme(config), traces, kernel="reference")
-        assert_stats_equal(baseline, overridden, context="vector override fallback")
-
-    def test_vector_kernel_matches_reference_on_benchmark_trace(
-        self, traces_small
-    ):
-        config, traces = traces_small
-        for scheme in ("S-NUCA", "RT-3", "Locality"):
-            baseline = simulate(
-                make_scheme(scheme, config), traces, kernel="reference"
-            )
-            vector = simulate(make_scheme(scheme, config), traces, kernel="vector")
-            assert_stats_equal(baseline, vector, context=f"vector {scheme}")
+        fast = simulate(SNucaScheme(config), traces, kernel="fast")
+        assert_stats_equal(reference, fast, context="solo core")
+        assert fast.core_finish[1] == 0.0
+        assert fast.completion_time == fast.core_finish[0] > 0
 
 
 class TestPerturbation:
     def test_perturbed_kernels_match_baseline(self, traces_small):
         config, traces = traces_small
         baseline = simulate(make_scheme("RT-3", config), traces, kernel="fast")
-        for kernel_cls in (ReferenceKernel, FastKernel, BatchedKernel, VectorKernel):
+        for kernel_cls in (ReferenceKernel, FastKernel):
             perturbed = simulate(
                 make_scheme("RT-3", config),
                 traces,
@@ -377,233 +260,3 @@ class TestPerturbation:
         config, traces = traces_small
         with pytest.raises(NotImplementedError):
             SimulationKernel().run(make_scheme("S-NUCA", config), traces)
-
-
-class TestAutoKernelSelection:
-    """kernel="auto": probe run-length structure, pick fast vs batched."""
-
-    @staticmethod
-    def _trace_set(lengths, barriers=0):
-        """Synthetic TraceSet: per-core READ streams, ``barriers`` evenly
-        spaced barrier records on every core (TraceSet requires cores to
-        agree on the barrier count)."""
-        import numpy as np
-
-        from repro.common.addr import Region
-        from repro.common.types import LineClass
-        from repro.workloads.trace import CoreTrace, TraceSet
-
-        cores = []
-        for length in lengths:
-            types = np.zeros(length, dtype=np.uint8)  # READ
-            if barriers and length:
-                spacing = max(1, length // (barriers + 1))
-                positions = [min(length - 1, (i + 1) * spacing)
-                             for i in range(barriers)]
-                types[positions] = int(AccessType.BARRIER)
-                assert int((types == int(AccessType.BARRIER)).sum()) == barriers
-            cores.append(CoreTrace(
-                types=types,
-                lines=np.arange(length, dtype=np.int64),
-                gaps=np.zeros(length, dtype=np.uint16),
-            ))
-        region = Region(base=0, size=max(lengths) + 1)
-        return TraceSet("synthetic", cores, [(region, LineClass.PRIVATE)])
-
-    def test_imbalanced_run_heavy_picks_batched(self):
-        from repro.sim.kernel import choose_kernel
-
-        traces = self._trace_set([4000, 500, 500, 500])
-        assert choose_kernel(traces) == "batched"
-
-    def test_barrier_dense_picks_fast(self):
-        from repro.sim.kernel import choose_kernel
-
-        # Same imbalanced lengths, but ~8-record barrier segments on
-        # the straggler: runs can't grow, so batching can't pay off.
-        traces = self._trace_set([4000, 500, 500, 500], barriers=499)
-        assert choose_kernel(traces) == "fast"
-
-    def test_balanced_lockstep_picks_fast(self):
-        from repro.sim.kernel import choose_kernel
-
-        traces = self._trace_set([1000, 1000, 1000, 1000])
-        assert choose_kernel(traces) == "fast"
-
-    def test_empty_trace_falls_back_to_default(self):
-        from repro.sim.kernel import choose_kernel
-
-        traces = self._trace_set([0, 0, 0, 0])
-        assert choose_kernel(traces) == DEFAULT_KERNEL
-
-    def test_idle_cores_do_not_deflate_the_segment_probe(self):
-        """Regression: empty traces used to contribute a phantom segment
-        each, halving the measured mean segment length on half-idle
-        workloads."""
-        from repro.sim.kernel import choose_kernel
-
-        # Two active cores (mean segment 65), two idle cores whose
-        # phantom segments would read the mean as 32.5 < 64.
-        traces = self._trace_set([100, 30, 0, 0])
-        assert choose_kernel(traces) == "batched"
-
-    def test_idle_cores_do_not_inflate_the_imbalance_probe(self):
-        """Regression: zero-weight entries for idle cores deflated the
-        mean load, making *lockstep* active cores look imbalanced."""
-        from repro.sim.kernel import choose_kernel
-
-        traces = self._trace_set([1000, 1000, 1000, 0])
-        assert choose_kernel(traces) == "fast"
-
-    def test_single_active_core_picks_batched(self):
-        """A lone active core owns the scheduler — no imbalance needed."""
-        from repro.sim.kernel import choose_kernel
-
-        assert choose_kernel(self._trace_set([4000, 0, 0, 0])) == "batched"
-
-    def test_replica_capable_engine_relaxes_the_segment_threshold(self):
-        """Engines that batch local-replica hits (VR/ASR/locality) pick
-        ``batched`` at shorter barrier segments than non-replicating
-        engines — the replica-friendliness signal."""
-        from repro.common.params import MachineConfig
-        from repro.sim.kernel import (
-            AUTO_MIN_SEGMENT_LENGTH,
-            AUTO_MIN_SEGMENT_LENGTH_REPLICA,
-            choose_kernel,
-        )
-
-        assert AUTO_MIN_SEGMENT_LENGTH_REPLICA < AUTO_MIN_SEGMENT_LENGTH
-        config = MachineConfig.small()
-        # Mean segment ~40: between the replica threshold (32) and the
-        # plain threshold (64); imbalanced so only the segment probe
-        # decides.
-        traces = self._trace_set(
-            [4000] + [500] * (config.num_cores - 1), barriers=17
-        )
-        assert choose_kernel(traces) == "fast"
-        for scheme in ("RT-1", "RT-3"):
-            engine = make_scheme(scheme, config)
-            assert engine.supports_replica_batching()
-            assert choose_kernel(traces, engine) == "batched", scheme
-        # VR and ASR override the eviction hooks, so their replica hits
-        # batch only while L1 sets have room — not a sustained win, and
-        # not a reason to relax the threshold.
-        for scheme in ("S-NUCA", "R-NUCA", "VR", "ASR"):
-            engine = make_scheme(scheme, config)
-            assert not engine.supports_replica_batching()
-            assert choose_kernel(traces, engine) == "fast", scheme
-
-    def test_observer_disables_the_replica_signal(self):
-        from repro.common.params import MachineConfig
-        from repro.schemes.base import ProtocolObserver
-
-        config = MachineConfig.small()
-        engine = make_scheme("RT-3", config, observer=ProtocolObserver())
-        assert not engine.supports_replica_batching()
-
-    def test_cluster_replication_disables_the_replica_signal(self):
-        from repro.common.params import MachineConfig
-
-        config = MachineConfig.small().with_overrides(cluster_size=4)
-        assert not make_scheme("RT-3", config).supports_replica_batching()
-
-    def test_resolve_kernel_rejects_auto_without_traces(self):
-        from repro.sim.kernel import AUTO_KERNEL
-
-        with pytest.raises(ValueError, match="auto"):
-            resolve_kernel(AUTO_KERNEL)
-
-    def test_simulate_auto_is_bit_identical(self, traces_small):
-        config, traces = traces_small
-        auto_stats = simulate(make_scheme("RT-3", config), traces, kernel="auto")
-        ref_stats = simulate(
-            make_scheme("RT-3", config), traces, kernel="reference"
-        )
-        assert_stats_equal(ref_stats, auto_stats, context="auto kernel")
-
-    def test_segment_threshold_boundary_is_inclusive(self):
-        """Mean segment exactly at the threshold picks batched; one
-        record shorter picks fast (single active core, so only the
-        segment probe decides)."""
-        from repro.sim.kernel import AUTO_MIN_SEGMENT_LENGTH, choose_kernel
-
-        assert AUTO_MIN_SEGMENT_LENGTH == 64.0
-        assert choose_kernel(self._trace_set([64, 0, 0, 0])) == "batched"
-        assert choose_kernel(self._trace_set([63, 0, 0, 0])) == "fast"
-
-    def test_imbalance_threshold_boundary_is_inclusive(self):
-        """Imbalance exactly at the threshold engages batching.  Gaps
-        are zero, so the per-core weights are the record counts:
-        330 / mean(330, 290, 290, 290) is exactly 1.10."""
-        from repro.sim.kernel import AUTO_MIN_IMBALANCE, choose_kernel
-
-        assert AUTO_MIN_IMBALANCE == 1.10
-        assert choose_kernel(self._trace_set([330, 290, 290, 290])) == "batched"
-        # 329/300 ~ 1.097 < 1.10: same total work, straggler too mild.
-        assert choose_kernel(self._trace_set([329, 291, 290, 290])) == "fast"
-
-    def test_vector_threshold_boundary_is_inclusive(self):
-        """A batched pick upgrades to vector exactly at the span
-        threshold — given an engine that vectorizes spans."""
-        from repro.common.params import MachineConfig
-        from repro.sim.kernel import AUTO_MIN_SEGMENT_LENGTH_VECTOR, choose_kernel
-
-        assert AUTO_MIN_SEGMENT_LENGTH_VECTOR == 256.0
-        config = MachineConfig.small()
-        engine = make_scheme("Locality", config)
-        idle = [0] * (config.num_cores - 1)
-        assert choose_kernel(self._trace_set([256] + idle), engine) == "vector"
-        assert choose_kernel(self._trace_set([255] + idle), engine) == "batched"
-
-    def test_vector_needs_engine_span_support(self):
-        """Long segments without a span-capable engine stay batched:
-        no engine at all, and an engine whose access() override already
-        disables batching (and with it vector spans)."""
-        from repro.common.params import MachineConfig
-        from repro.sim.kernel import choose_kernel
-
-        config = MachineConfig.small()
-        idle = [0] * (config.num_cores - 1)
-        traces = self._trace_set([4000] + idle)
-        assert choose_kernel(traces) == "batched"
-
-        class LoggingSNuca(SNucaScheme):
-            def access(self, core, atype, line_addr, now):
-                return super().access(core, atype, line_addr, now)
-
-        assert choose_kernel(traces, LoggingSNuca(config)) == "batched"
-        assert choose_kernel(traces, make_scheme("S-NUCA", config)) == "vector"
-
-    def test_vector_needs_integral_gaps(self):
-        """Fractional gaps force per-record Compute accumulation — the
-        vector closure would decline, so auto keeps batched."""
-        import numpy as np
-
-        from repro.common.addr import Region
-        from repro.common.params import MachineConfig
-        from repro.common.types import LineClass
-        from repro.sim.kernel import choose_kernel
-        from repro.workloads.trace import CoreTrace, TraceSet
-
-        config = MachineConfig.small()
-        cores = []
-        for core in range(config.num_cores):
-            n = 400 if core == 0 else 0
-            cores.append(
-                CoreTrace(
-                    types=np.zeros(n, dtype=np.uint8),
-                    lines=np.arange(n, dtype=np.int64),
-                    gaps=np.full(n, 0.5),
-                )
-            )
-        traces = TraceSet(
-            "fractional", cores, [(Region(0, 4096), LineClass.PRIVATE)]
-        )
-        engine = make_scheme("Locality", config)
-        assert choose_kernel(traces, engine) == "batched"
-
-    def test_environment_selects_auto(self, traces_small, monkeypatch):
-        config, traces = traces_small
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "auto")
-        stats = simulate(make_scheme("S-NUCA", config), traces)
-        assert stats.completion_time > 0

@@ -1,15 +1,11 @@
-"""The batched kernel's local-replica fast path.
+"""Reference vs fast on replica-dominated workloads.
 
 The replica-dominated regime — L1 misses serviced by a local LLC replica
-— is the paper's headline mechanism and used to be the one workload
-shape the batched kernel could not help: every replica hit ended the run
-and fell back to single-stepping.  These tests pin the extended
-``make_batched_access``: bit-identity on replica-dominated workloads
-across all replicating schemes (spanning classifier promotions and
-demotions, writes through E/M replicas, dirty-victim merges and
-instruction replicas), that the closure genuinely services replica hits
-inline (no silent fallback), and the guard rails that disable the fast
-path.
+— is the paper's headline mechanism.  These tests pin the fast kernel's
+bit-identity to the reference loop across all replicating schemes,
+spanning classifier promotions and demotions, writes through E/M
+replicas, dirty-victim merges, instruction replicas, fractional LLC
+latencies, cluster-level replication and a protocol observer.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from repro.common.types import AccessType, LineClass
 from repro.schemes.base import ProtocolObserver
 from repro.schemes.factory import make_scheme
 from repro.sim.simulator import simulate
-from repro.testing.differential import assert_stats_equal, verify_all_kernels
+from repro.testing.differential import verify_all_kernels
 from repro.workloads.trace import CoreTrace, TraceSet
 
 REPLICATING_SCHEMES = ("VR", "ASR", "RT-1", "RT-3", "RT-8")
@@ -94,7 +90,7 @@ class TestReplicaRunBitIdentity:
     def test_l1_overflow_forces_dirty_victim_merges(self, config, scheme):
         """With the working set over the L1 and writes in the mix, every
         replica-hit fill evicts a dirty-able victim that must merge into
-        its own local replica — the inline-victim arm of the closure."""
+        its own local replica."""
         traces = replica_sweep_traces(
             config, ws_x_l1d=3.0, write_frac=0.2, seed=29
         )
@@ -106,9 +102,8 @@ class TestReplicaRunBitIdentity:
 
     @pytest.mark.parametrize("scheme", ("RT-3", "RT-8"))
     def test_promotions_and_demotions_stay_identical(self, config, scheme):
-        """Classifier churn (promotions via reuse, demotions via write
-        invalidations) spans batched runs; the reuse counters the
-        closure increments feed the same decisions."""
+        """Classifier churn: promotions via reuse, demotions via write
+        invalidations."""
         traces = replica_sweep_traces(config, write_frac=0.1, seed=41)
         stats = verify_all_kernels(
             lambda: make_scheme(scheme, config), traces, context=scheme
@@ -131,62 +126,22 @@ class TestReplicaRunBitIdentity:
         )
 
 
-class TestReplicaRunsActuallyBatch:
-    def test_locality_services_replica_hits_inline(self, config):
-        """Meta-test: the closure must service a large share of the
-        replica hits itself — a silent per-record fallback would pass
-        every bit-identity test while losing the entire speedup."""
-        traces = replica_sweep_traces(config)
-        engine = make_scheme("RT-1", config)
-        serviced = [0]
-        service = engine._make_replica_service()
-
-        def counting_service(core, line_addr, write):
-            grant = service(core, line_addr, write)
-            if grant is not None:
-                serviced[0] += 1
-            return grant
-
-        engine._make_replica_service = lambda: counting_service
-        stats = simulate(engine, traces, kernel="batched")
-        total = stats.counters["llc_replica_hits"]
-        assert total > 0
-        assert serviced[0] >= total * 0.4, (
-            f"only {serviced[0]} of {total} replica hits were serviced "
-            "by the batched closure"
+    def test_fractional_llc_latency(self, config):
+        fractional = config.with_overrides(llc_tag_latency=1.5)
+        traces = replica_sweep_traces(fractional, straggler_accesses=1500)
+        verify_all_kernels(
+            lambda: make_scheme("RT-3", fractional), traces, context="fractional"
         )
 
+    def test_cluster_replication(self, config):
+        clustered = config.with_overrides(cluster_size=4)
+        traces = replica_sweep_traces(clustered, straggler_accesses=1500)
+        verify_all_kernels(
+            lambda: make_scheme("RT-3", clustered), traces, context="cluster"
+        )
 
-class TestReplicaFastPathGuards:
-    def test_base_machines_do_not_support_replica_batching(self, config):
-        for scheme in ("S-NUCA", "R-NUCA"):
-            engine = make_scheme(scheme, config)
-            assert engine._make_replica_service() is None
-            assert not engine.supports_replica_batching()
-
-    @pytest.mark.parametrize("scheme", REPLICATING_SCHEMES)
-    def test_replicating_schemes_provide_a_replica_service(self, config, scheme):
-        assert make_scheme(scheme, config)._make_replica_service() is not None
-
-    @pytest.mark.parametrize("scheme", ("RT-1", "RT-3", "RT-8"))
-    def test_locality_schemes_signal_sustained_replica_batching(
-        self, config, scheme
-    ):
-        assert make_scheme(scheme, config).supports_replica_batching()
-
-    @pytest.mark.parametrize("scheme", ("VR", "ASR"))
-    def test_victim_placing_schemes_do_not_signal_sustained_batching(
-        self, config, scheme
-    ):
-        """VR/ASR override the eviction hooks: once the L1 is full their
-        replica hits single-step, so they must not steer ``auto`` toward
-        the batched kernel (their service still batches opportunistically
-        while L1 sets have room)."""
-        assert not make_scheme(scheme, config).supports_replica_batching()
-
-    def test_observer_declines_and_still_counts_per_hit(self, config):
-        """on_replica_access fires per hit in order; with an observer the
-        fast path declines and the hook sees every hit."""
+    def test_observer_sees_every_replica_hit(self, config):
+        """on_replica_access fires once per replica hit under both kernels."""
 
         class CountingObserver(ProtocolObserver):
             def __init__(self):
@@ -196,49 +151,8 @@ class TestReplicaFastPathGuards:
                 self.replica_accesses += 1
 
         traces = replica_sweep_traces(config, straggler_accesses=1500)
-        observer = CountingObserver()
-        engine = make_scheme("RT-1", config, observer=observer)
-        assert not engine.supports_replica_batching()
-        stats = simulate(engine, traces, kernel="batched")
-        assert observer.replica_accesses == stats.counters["llc_replica_hits"] > 0
-
-    def test_fractional_llc_latency_declines_but_stays_exact(self, config):
-        fractional = config.with_overrides(llc_tag_latency=1.5)
-        engine = make_scheme("RT-3", fractional)
-        assert not engine.supports_replica_batching()
-        traces = replica_sweep_traces(fractional, straggler_accesses=1500)
-        baseline = simulate(
-            make_scheme("RT-3", fractional), traces, kernel="reference"
-        )
-        batched = simulate(engine, traces, kernel="batched")
-        assert_stats_equal(baseline, batched, context="fractional llc latency")
-
-    def test_local_lookup_override_declines(self, config):
-        from repro.schemes.locality import LocalityAwareScheme
-
-        class CustomLookup(LocalityAwareScheme):
-            def local_lookup(self, core, line_addr, write, is_ifetch, now):
-                return super().local_lookup(core, line_addr, write, is_ifetch, now)
-
-        assert CustomLookup(config)._make_replica_service() is None
-        assert not CustomLookup(config).supports_replica_batching()
-
-    def test_replica_slice_override_declines(self, config):
-        """The service closure hardcodes slices[core]; a subclass moving
-        replicas elsewhere must not be silently bypassed."""
-        from repro.schemes.locality import LocalityAwareScheme
-
-        class ShiftedReplicas(LocalityAwareScheme):
-            def replica_slice_for(self, core, line_addr):
-                return (core + 1) % self.config.num_cores
-
-        assert ShiftedReplicas(config)._make_replica_service() is None
-        assert not ShiftedReplicas(config).supports_replica_batching()
-
-    def test_cluster_replication_declines(self, config):
-        clustered = config.with_overrides(cluster_size=4)
-        assert make_scheme("RT-3", clustered)._make_replica_service() is None
-        traces = replica_sweep_traces(clustered, straggler_accesses=1500)
-        verify_all_kernels(
-            lambda: make_scheme("RT-3", clustered), traces, context="cluster"
-        )
+        for kernel in ("reference", "fast"):
+            observer = CountingObserver()
+            engine = make_scheme("RT-1", config, observer=observer)
+            stats = simulate(engine, traces, kernel=kernel)
+            assert observer.replica_accesses == stats.counters["llc_replica_hits"] > 0

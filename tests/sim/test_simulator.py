@@ -117,7 +117,7 @@ class TestBarriers:
 class TestRegionCoverage:
     """simulate() must reject traces whose region map misses accessed lines."""
 
-    @pytest.mark.parametrize("kernel", ["reference", "fast", "batched"])
+    @pytest.mark.parametrize("kernel", ["reference", "fast"])
     def test_uncovered_access_raises_clear_error(self, tiny_config, kernel):
         traces = _trace_set(
             [[(AccessType.READ, 5000, 0)], [], [], []], tiny_config

@@ -1,4 +1,4 @@
-"""Streaming executor vs materialized kernels on real scheme engines.
+"""Streamed vs materialized traces on real scheme engines.
 
 The unit-level chunk-boundary cases live in
 ``tests/workloads/test_streaming.py``; here full machines (caches,
@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from repro.schemes.factory import make_scheme
+from repro.sim.kernel import FastKernel
 from repro.sim.simulator import simulate
-from repro.sim.streaming import StreamHandoff, choose_streaming_kernel
 from repro.testing.differential import verify_streaming
 from repro.workloads.benchmarks import build_trace, get_profile
 from repro.workloads.streaming import StreamingTraceSet
 
-KERNELS = ("reference", "fast", "batched", "vector")
+KERNELS = ("reference", "fast")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +57,9 @@ class TestStreamedEqualsMaterialized:
             assert got == expected, (kernel, chunk)
 
     def test_fractional_gaps_bit_identical(self, trace_and_config):
+        """Fractional gaps take the window loop's per-record Compute
+        branch: every chunk size must match materialized reference, also
+        with the equal-time pushes perturbed."""
         traces, config = trace_and_config
         rng = np.random.default_rng(2)
         cores = [
@@ -68,16 +71,17 @@ class TestStreamedEqualsMaterialized:
             for trace in traces.cores
         ]
         frac = dataclasses.replace(traces, cores=cores)
-        streamed = StreamingTraceSet.from_trace_set(frac, chunk_records=151)
-        assert not streamed.gaps_integral
-        for kernel in KERNELS:
-            expected = simulate(
-                make_scheme("RT-3", config), frac, kernel=kernel
-            ).to_dict()
-            got = simulate(
-                make_scheme("RT-3", config), streamed, kernel=kernel
-            ).to_dict()
-            assert got == expected, kernel
+        expected = simulate(
+            make_scheme("RT-3", config), frac, kernel="reference"
+        ).to_dict()
+        for chunk in (1, 97, 151, 1 << 20):
+            streamed = StreamingTraceSet.from_trace_set(frac, chunk_records=chunk)
+            assert not streamed.gaps_integral
+            for kernel in (*KERNELS, FastKernel(perturb_seed=11)):
+                got = simulate(
+                    make_scheme("RT-3", config), streamed, kernel=kernel
+                ).to_dict()
+                assert got == expected, (chunk, kernel)
 
     def test_chunk_env_knob_drives_the_default(
         self, trace_and_config, monkeypatch
@@ -116,7 +120,7 @@ class TestDirectCaptureStreaming:
                 path, num_cores=4, chunk_records=512, overlap=overlap
             )
             assert streamed.total_records == materialized.total_accesses()
-            for kernel in ("fast", "batched"):
+            for kernel in KERNELS:
                 expected = simulate(
                     make_scheme("RT-3", config), materialized, kernel=kernel
                 ).to_dict()
@@ -131,61 +135,3 @@ class TestDirectCaptureStreaming:
         streamed = dataclasses.replace(streamed, regions=traces.regions[:1])
         with pytest.raises(ValueError, match="no region"):
             simulate(make_scheme("RT-3", config), streamed)
-
-
-class TestKernelSelection:
-    def _stream(self, records, barriers, cores=4, gaps_integral=True):
-        return StreamingTraceSet(
-            name="meta",
-            num_cores=cores,
-            regions=[],
-            source_factory=lambda: None,
-            gaps_integral=gaps_integral,
-            total_records=records,
-            total_barriers=barriers,
-        )
-
-    def test_short_segments_pick_the_default(self):
-        assert choose_streaming_kernel(self._stream(100, 10)) == "fast"
-
-    def test_long_segments_pick_batched(self):
-        assert choose_streaming_kernel(self._stream(100_000, 0)) == "batched"
-
-    def test_unknown_totals_pick_the_default(self):
-        assert choose_streaming_kernel(self._stream(None, None)) == "fast"
-
-    def test_vector_needs_engine_support_and_integral_gaps(self):
-        class VectorEngine:
-            def supports_vector_spans(self):
-                return True
-
-            def supports_replica_batching(self):
-                return False
-
-        stream = self._stream(1_000_000, 0)
-        assert choose_streaming_kernel(stream, VectorEngine()) == "vector"
-        fractional = self._stream(1_000_000, 0, gaps_integral=False)
-        assert choose_streaming_kernel(fractional, VectorEngine()) == "batched"
-
-    def test_auto_streamed_matches_auto_materialized_stats(
-        self, trace_and_config
-    ):
-        traces, config = trace_and_config
-        streamed = StreamingTraceSet.from_trace_set(traces, 173)
-        expected = simulate(
-            make_scheme("RT-3", config), traces, kernel="auto"
-        ).to_dict()
-        got = simulate(
-            make_scheme("RT-3", config), streamed, kernel="auto"
-        ).to_dict()
-        assert got == expected
-
-
-class TestStreamHandoff:
-    def test_fresh_state_shape(self):
-        handoff = StreamHandoff.fresh(3)
-        assert sorted(handoff.ready) == [(0.0, 0), (0.0, 1), (0.0, 2)]
-        assert handoff.positions == [0, 0, 0]
-        assert handoff.windows == [None, None, None]
-        assert handoff.waiting == {} and handoff.finished == set()
-        assert handoff.exhausted == [False, False, False]

@@ -1,7 +1,7 @@
 """Differential suite: optimized kernels are bit-identical to reference.
 
 Every headline number flows through the simulator, so the optimized
-kernels (fast, batched) are only trustworthy if they reproduce the
+fast kernel is only trustworthy if they reproduce the
 reference loop's ``SimStats`` exactly — all five schemes, across
 workload regimes (LLC reuse, capacity pressure, migratory sharing) and
 seeds.  The suite also covers the failure path: a mismatch report must
@@ -41,7 +41,7 @@ from repro.workloads.benchmarks import BenchmarkProfile, build_trace, get_profil
 SCHEMES = ("S-NUCA", "R-NUCA", "VR", "ASR", "RT-3")
 
 #: Every optimized kernel that must match the reference loop.
-CANDIDATE_KERNELS = ("fast", "batched")
+CANDIDATE_KERNELS = ("fast",)
 
 #: Three seeded workload profiles spanning distinct behaviour classes:
 #: shared-RW reuse, partitioned capacity pressure, migratory data.
@@ -54,8 +54,7 @@ WORKLOADS = (
 #: A fixed replica-dominated profile: high-reuse shared reads over a
 #: working set between the L1 and the LLC, with enough written-shared
 #: and migratory traffic to cycle locality classifiers through
-#: promotions and demotions.  The regime of the batched kernel's
-#: local-replica fast path (and the paper's headline mechanism).
+#: promotions and demotions (the paper's headline mechanism).
 REPLICA_PROFILE = BenchmarkProfile(
     name="REPLICA-LOOP",
     description="replica-dominated shared-read loop for the differential suite",

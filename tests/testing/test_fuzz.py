@@ -116,7 +116,7 @@ class TestCsvRoundtripFuzz:
         assert "injected divergence" in notes[0].read_text()
 
     def test_cli_subcommand(self, tmp_path, capsys):
-        from repro.testing.__main__ import main
+        from repro.testing.cli import main
 
         assert main([
             "csv-roundtrip", "--cases", "2", "--seed", "6",
@@ -127,14 +127,14 @@ class TestCsvRoundtripFuzz:
 
 class TestCli:
     def test_fuzz_cli_exits_zero_on_success(self, capsys):
-        from repro.testing.__main__ import main
+        from repro.testing.cli import main
 
         assert main(["verify-kernels", "--fuzz", "2", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "2 passed, 0 failed" in out
 
     def test_repro_cli_replays_bundle(self, tmp_path, capsys):
-        from repro.testing.__main__ import main
+        from repro.testing.cli import main
 
         case = fuzz.make_case(9)
         bundle = case.to_bundle()
@@ -144,14 +144,14 @@ class TestCli:
         assert "no longer diverges" in capsys.readouterr().out
 
     def test_kernel_filter_is_honored(self):
-        from repro.testing.__main__ import main
+        from repro.testing.cli import main
 
         assert main(
-            ["verify-kernels", "--fuzz", "1", "--seed", "4", "--kernels", "batched"]
+            ["verify-kernels", "--fuzz", "1", "--seed", "4", "--kernels", "fast"]
         ) == 0
 
     def test_unknown_subcommand_rejected(self):
-        from repro.testing.__main__ import build_parser
+        from repro.testing.cli import build_parser
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])

@@ -27,7 +27,7 @@ def traces(config):
 
 
 class TestEqualTimePermutation:
-    @pytest.mark.parametrize("kernel", ["reference", "fast", "batched"])
+    @pytest.mark.parametrize("kernel", ["reference", "fast"])
     @pytest.mark.parametrize("scheme", ["S-NUCA", "RT-3"])
     def test_shuffled_equal_time_events_are_invisible(
         self, config, traces, scheme, kernel

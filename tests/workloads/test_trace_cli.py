@@ -159,7 +159,7 @@ class TestSimulate:
     def test_kernel_and_scheme_options(self, tmp_path, capsys):
         capture = self._capture(tmp_path, records=40)
         capsys.readouterr()
-        for kernel in ("reference", "batched"):
+        for kernel in ("reference", "fast"):
             assert main([
                 "trace", "simulate", str(capture), "--cores", "4",
                 "--scheme", "S-NUCA", "--kernel", kernel, "--json",
@@ -167,7 +167,7 @@ class TestSimulate:
         lines = [json.loads(line) for line
                  in capsys.readouterr().out.strip().splitlines()]
         assert lines[0]["stats_sha256"] == lines[1]["stats_sha256"]
-        assert {line["kernel"] for line in lines} == {"reference", "batched"}
+        assert {line["kernel"] for line in lines} == {"reference", "fast"}
 
     def test_max_inst_budget(self, tmp_path, capsys):
         capture = self._capture(tmp_path)
