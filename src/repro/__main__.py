@@ -6,14 +6,15 @@ Usage::
     python -m repro trace inspect TRACE.npz
     python -m repro trace simulate TRACE [--scheme S] [--stream] [--json]
     python -m repro trace synthesize-fixture --format FMT --out CAPTURE [options]
-    python -m repro experiments ...     figures, tables, distributed service
+    python -m repro experiments ...     figures, tables, result store
     python -m repro testing ...         kernel verification / fuzzing
 
 The ``experiments`` group (:mod:`repro.experiments.cli`) regenerates
-every figure and table, and hosts the distributed experiment service
-(``serve`` / ``work`` / ``store`` / ``--distributed N``); the
-``testing`` group (:mod:`repro.testing.cli`) differentially verifies
-the simulation kernels.
+every figure and table (``--parallel N`` on one host; disjoint
+``--benchmarks`` runs over one shared store across hosts) and inspects
+the result store (``store stats|purge``); the ``testing`` group
+(:mod:`repro.testing.cli`) differentially verifies the simulation
+kernels.
 
 The ``trace`` group is the real-trace ingestion pipeline
 (:mod:`repro.workloads.imports`):
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     groups = parser.add_subparsers(dest="group", required=True)
     # Help-only entries: main() hands these groups' argv to their own CLIs.
-    groups.add_parser("experiments", help="figures, tables and the distributed service")
+    groups.add_parser("experiments", help="figures, tables and the result store")
     groups.add_parser("testing", help="kernel verification and fuzzing")
 
     trace = groups.add_parser("trace", help="real-trace ingestion pipeline")

@@ -4,8 +4,11 @@ The public surface is the declarative experiment API:
 
 * :class:`RunPoint` / :class:`ExperimentSpec` — describe a grid of runs
   as data (``repro.experiments.spec``);
-* :func:`execute_spec` — run a spec (sequentially or sharded across
-  processes) against the content-addressed :class:`ResultStore`;
+* :func:`execute_spec` — run a spec (sequentially, or over a process
+  pool with ``max_workers > 1``) against the content-addressed
+  :class:`ResultStore`.  A grid split across hosts is just disjoint
+  ``--benchmarks`` runs into one shared store directory, then a
+  collector run served from it;
 * :class:`ResultSet` — query the outcome (``pivot`` / ``normalized_to``
   / ``geomean`` / ``mean``);
 * ``@register_experiment`` / ``@register_report`` — add a CLI command.
@@ -17,7 +20,6 @@ registered command catalog).
 from repro.experiments.parallel import (
     RunSpec,
     execute_spec_parallel,
-    run_matrix_parallel,
     run_specs,
 )
 from repro.experiments.results import ResultSet
@@ -64,7 +66,6 @@ __all__ = [
     "register_report",
     "run_asr_best",
     "run_matrix",
-    "run_matrix_parallel",
     "run_one",
     "run_specs",
 ]

@@ -11,11 +11,9 @@ The parallel path executes the same
 :class:`~repro.experiments.spec.ExperimentSpec` grids the sequential
 executor does: :func:`execute_spec_parallel` checks the
 :class:`~repro.experiments.store.ResultStore` first
-(:func:`scan_spec_misses` — shared with the distributed broker in
-:mod:`repro.experiments.service`), shards only the *missed* RunPoints
-into picklable :class:`RunSpec` units, and reduces ASR's
-replication-level search on collection — identical semantics and
-bit-identical results.
+(:func:`scan_spec_misses`), fans only the *missed* RunPoints out as
+picklable :class:`RunSpec` units, and reduces ASR's replication-level
+search on collection — identical semantics and bit-identical results.
 """
 
 from __future__ import annotations
@@ -57,11 +55,7 @@ def _execute(spec: RunSpec) -> RunResult:
     setup = ExperimentSetup(
         spec.config, scale=spec.scale, seed=spec.seed, kernel=spec.kernel
     )
-    kwargs = spec.kwargs()
-    result = run_one(setup, spec.scheme, spec.benchmark, **kwargs)
-    if spec.scheme == "ASR" and "replication_level" in kwargs:
-        result.asr_level = kwargs["replication_level"]
-    return result
+    return run_one(setup, spec.scheme, spec.benchmark, **spec.kwargs())
 
 
 def run_specs(
@@ -128,9 +122,8 @@ def scan_spec_misses(
     order, ``(content address, [points sharing it])`` for every address
     that has to be simulated.  Duplicate same-address points are counted
     as hits up front (mirroring the sequential path, which would hit
-    once the first of them is stored), so accounting is identical across
-    the sequential, process-pool and distributed executors — all three
-    build on this scan.
+    once the first of them is stored), so the process pool's accounting
+    is identical to the sequential executor's.
     """
     results: dict = {}
     order: list[str] = []
@@ -185,31 +178,3 @@ def execute_spec_parallel(
     # Preserve the spec's point order in the result set.
     ordered = {point: results[point] for point in spec.points}
     return ResultSet.from_spec(spec, ordered)
-
-
-def run_matrix_parallel(
-    setup: ExperimentSetup,
-    schemes: Iterable[str],
-    benchmarks: Iterable[str],
-    max_workers: int | None = None,
-) -> ResultSet:
-    """Parallel version of :func:`repro.experiments.runner.run_matrix`.
-
-    Builds the (benchmark × scheme) grid as an anonymous
-    :class:`ExperimentSpec` and shards its RunPoints — the same code
-    path every figure's ``--parallel`` execution uses.
-    """
-    from repro.experiments.spec import ExperimentSpec, RunPoint
-    from repro.experiments.store import ResultStore
-
-    bench_list = list(benchmarks)
-    scheme_list = list(schemes)
-    points = tuple(
-        RunPoint(scheme=scheme, benchmark=benchmark)
-        for benchmark in bench_list
-        for scheme in scheme_list
-    )
-    return execute_spec_parallel(
-        ExperimentSpec("matrix", points), setup, ResultStore.memory(),
-        max_workers=max_workers,
-    )

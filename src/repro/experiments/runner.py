@@ -35,7 +35,7 @@ class RunResult:
     benchmark: str
     stats: SimStats
     energy_breakdown: dict[str, float]
-    #: The ASR replication level chosen, when applicable.
+    #: The ASR replication level run (searched or explicit), else None.
     asr_level: float | None = None
 
     @property
@@ -124,8 +124,10 @@ def run_one(
 ) -> RunResult:
     """Run one (scheme, benchmark) pair.
 
-    ``ASR`` triggers the replication-level search automatically.  An
-    explicit ``config`` overrides the setup's machine (used by sweeps
+    ``ASR`` triggers the replication-level search automatically; with
+    an explicit ``replication_level`` it skips the search and reports
+    that level as ``asr_level``, so the sequential and process-pool
+    paths store the same payload for the point.  An explicit ``config`` overrides the setup's machine (used by sweeps
     that vary classifier k or cluster size); an explicit ``kernel``
     overrides the setup's simulation kernel for this run only.
     """
@@ -136,7 +138,8 @@ def run_one(
     engine = make_scheme(scheme_label, machine_config, **scheme_kwargs)
     stats = simulate(engine, traces, kernel=kernel if kernel is not None else setup.kernel)
     breakdown = stats.energy_breakdown(engine.energy_model())
-    return RunResult(scheme_label, benchmark, stats, breakdown)
+    level = scheme_kwargs.get("replication_level") if scheme_label == "ASR" else None
+    return RunResult(scheme_label, benchmark, stats, breakdown, asr_level=level)
 
 
 def run_asr_best(

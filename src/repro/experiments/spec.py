@@ -17,8 +17,10 @@ describes each figure as data instead of bespoke loops:
   views are released exactly once per benchmark (figure modules can no
   longer leak them), and returns a queryable
   :class:`~repro.experiments.results.ResultSet`.  ``max_workers > 1``
-  shards the missed points across a process pool
-  (:func:`repro.experiments.parallel.execute_spec_parallel`).
+  fans the missed points out over a process pool
+  (:func:`repro.experiments.parallel.execute_spec_parallel`).  Several
+  hosts split a grid by running disjoint ``--benchmarks`` subsets into
+  one shared store directory; no other executor exists.
 * the **registry** — ``@register_experiment`` / ``@register_report``
   bind CLI command names to spec builders (or plain report callables);
   ``python -m repro experiments`` generates its subcommands and
@@ -201,24 +203,17 @@ def execute_spec(
     setup: ExperimentSetup,
     store: "ResultStore | None" = None,
     max_workers: int = 0,
-    executor: "Callable | None" = None,
 ) -> ResultSet:
     """Run every point of ``spec`` (reusing stored results) → ResultSet.
 
     With no ``store``, a fresh memory-only store still deduplicates
-    identical points within the spec.  ``max_workers > 1`` shards the
-    missed points across worker processes; results are identical to the
+    identical points within the spec.  ``max_workers > 1`` spreads the
+    missed points over worker processes; results are identical to the
     sequential path (the kernels are deterministic and every point is
-    independent).  An explicit ``executor`` — a ``(spec, setup, store)
-    -> ResultSet`` callable — replaces the execution substrate entirely;
-    the distributed experiment service plugs in through it
-    (:func:`repro.experiments.service.make_distributed_executor`), which
-    is how ``--distributed N`` reaches every registered grid command.
+    independent).
     """
     if store is None:
         store = ResultStore.memory()
-    if executor is not None:
-        return executor(spec, setup, store)
     if max_workers and max_workers > 1:
         from repro.experiments.parallel import execute_spec_parallel
 
@@ -331,12 +326,10 @@ def register_experiment(
             benchmarks: "Sequence[str] | None" = None,
             store: "ResultStore | None" = None,
             max_workers: int = 0,
-            executor: "Callable | None" = None,
         ) -> str:
             spec = build(setup, benchmarks)
             results = execute_spec(
-                spec, setup, store=store, max_workers=max_workers,
-                executor=executor,
+                spec, setup, store=store, max_workers=max_workers
             )
             return render(results, setup)
 
@@ -366,7 +359,6 @@ def register_report(
             benchmarks: "Sequence[str] | None" = None,
             store: "ResultStore | None" = None,
             max_workers: int = 0,
-            executor: "Callable | None" = None,
         ) -> str:
             if takes_store:
                 return fn(setup, benchmarks, store=store)

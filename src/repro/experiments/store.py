@@ -16,20 +16,17 @@ The store is split into two layers:
 * an **in-memory object layer** (inside :class:`ResultStore`) guarantees
   that one process never performs the same simulation twice and
   preserves object identity within an invocation;
-* a pluggable :class:`StoreBackend` persists JSON payloads.  Three stock
+* a pluggable :class:`StoreBackend` persists JSON payloads.  Two stock
   backends ship:
 
   - :class:`MemoryBackend` — payload dict in memory, no persistence
     (``ResultStore(root=None)``; per-invocation deduplication only);
   - :class:`JsonDirBackend` — one ``<address>.json`` file per entry in a
-    flat directory, with atomic cross-process writes and an optional
-    **size bound with LRU eviction** (reads refresh recency);
-  - :class:`SharedDirBackend` — the filesystem-mounted *shared* layout
-    for many workers/machines: the same atomic-write discipline plus a
-    two-hex-character fanout (``ab/<address>.json``) so network mounts
-    never hold one huge directory.  This is the read-through cache the
-    distributed experiment service (:mod:`repro.experiments.service`)
-    commits results through.
+    flat directory, with atomic cross-process (and cross-host) writes
+    and an optional **size bound with LRU eviction** (reads refresh
+    recency).  Any number of processes — ``--parallel`` workers, or
+    ``--benchmarks`` partitions of one grid on several hosts mounting
+    the directory — can share it; each commits only its own points.
 
 The simulation *kernel* is deliberately **excluded** from the
 fingerprint: the kernels are differentially verified bit-identical
@@ -40,10 +37,9 @@ the original statistics digit for digit.
 
 Controls:
 
-* ``REPRO_RESULT_CACHE=<dir>`` relocates the on-disk store;
-* ``REPRO_RESULT_CACHE=shared:<dir>`` selects the shared (fanout)
-  backend at that directory — the spelling broker and workers use when
-  they mount one store across machines;
+* ``REPRO_RESULT_CACHE=<dir>`` relocates the on-disk store (the
+  retired ``shared:<dir>`` spelling is rejected with an error naming
+  the plain ``<dir>`` form);
 * ``REPRO_RESULT_CACHE=off`` (or ``0``/``none``/``false``) disables disk
   persistence (the in-memory layer still deduplicates one invocation);
 * an empty or whitespace-only value is treated as *unset* and falls
@@ -70,6 +66,8 @@ import hashlib
 import itertools
 import json
 import os
+import re
+import socket
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Protocol, runtime_checkable
 
@@ -81,27 +79,29 @@ from repro.sim.stats import SimStats, Tally
 #: stale on-disk results from an older format can never be returned.
 STORE_VERSION = 1
 
-#: Environment variable controlling the on-disk location (a path, or
-#: ``shared:<path>`` for the fanout layout) or disabling persistence
-#: (``off``/``0``/``none``; empty falls back to the default location).
+#: Environment variable controlling the on-disk location (a path) or
+#: disabling persistence (``off``/``0``/``none``; empty falls back to
+#: the default location).
 CACHE_ENV_VAR = "REPRO_RESULT_CACHE"
 
 #: Environment variable bounding the on-disk store size, in megabytes
 #: (unset, empty or <= 0: unbounded).
 CACHE_MAX_MB_ENV_VAR = "REPRO_RESULT_CACHE_MAX_MB"
 
-#: ``REPRO_RESULT_CACHE`` prefix selecting :class:`SharedDirBackend`.
-SHARED_PREFIX = "shared:"
-
 _DISABLED_VALUES = ("0", "off", "none", "disabled", "false")
 
-#: Process-wide sequence for temp-file names: combined with the pid it
-#: makes every write's temp path unique across *all* concurrent writers
-#: (stores in this process, ``--parallel`` workers, distributed-service
-#: workers on other hosts sharing the directory over a network mount),
-#: so no two writers can interleave into the same temp file and
+#: Process-wide sequence for temp-file names: combined with the host
+#: and pid it makes every write's temp path unique across *all*
+#: concurrent writers (stores in this process, ``--parallel`` workers,
+#: partitions on other hosts sharing the directory over a network
+#: mount), so no two writers can interleave into the same temp file and
 #: ``os.replace`` a torn payload.
 _TMP_SEQUENCE = itertools.count()
+
+#: This host's name as it appears in temp-file names: dots and other
+#: separators become ``-`` so the name splits cleanly on ``.`` and
+#: globs literally.
+_TMP_HOST = re.sub(r"[^A-Za-z0-9_-]", "-", socket.gethostname()) or "localhost"
 
 
 def _pid_alive(pid: int) -> bool:
@@ -285,8 +285,8 @@ class JsonDirBackend:
     """One ``<key>.json`` per entry in a flat directory.
 
     Writes are atomic (unique temp name + ``os.replace``) so concurrent
-    writers — ``--parallel`` shards, distributed-service workers, other
-    invocations — can share the directory without ever exposing a torn
+    writers — ``--parallel`` workers, other invocations, partitions on
+    other hosts — can share the directory without ever exposing a torn
     payload.  ``max_bytes`` bounds the directory size: when a write
     overflows it, the least-recently-used entries are evicted (a read
     hit refreshes an entry's mtime, so recency tracks *use*, not just
@@ -311,9 +311,10 @@ class JsonDirBackend:
         return self.root.glob("*.json")
 
     def _tmp_path_for(self, key: str) -> Path:
-        """A temp path no other writer (process or store) can collide on."""
-        return self._entry_path(key).parent / (
-            f"{key}.json.{os.getpid()}.{next(_TMP_SEQUENCE)}.tmp"
+        """A temp path no other writer (host, process or store) can
+        collide on: ``<key>.json.<host>.<pid>.<seq>.tmp``."""
+        return self.root / (
+            f"{key}.json.{_TMP_HOST}.{os.getpid()}.{next(_TMP_SEQUENCE)}.tmp"
         )
 
     def _sweep_stale_tmp(self) -> None:
@@ -321,33 +322,32 @@ class JsonDirBackend:
 
         Runs once on backend open; a temp file only survives a write
         that died between creation and ``os.replace``.  Only the store's
-        own name shapes are swept (``<key>.json.tmp`` from older
-        versions, ``<key>.json.<pid>.<seq>.tmp`` from this one) — the
-        directory may hold foreign files — and a pid-stamped file whose
-        writer is still alive is left alone (it is an in-flight write of
-        a concurrent invocation, not litter).  Best-effort: pids recycle
-        (a falsely "alive" stale file waits for the next sweep) and
-        unlink errors are ignored.  The sweep also descends one fanout
-        level so the shared layout is covered.
+        own name shapes are swept — the directory may hold foreign
+        files — and only files this host can judge: the legacy
+        ``<key>.json.tmp`` and this host's
+        ``<key>.json.<host>.<pid>.<seq>.tmp`` whose writer is no longer
+        alive.  A live writer's file is an in-flight write, not litter,
+        and another host's pid says nothing about liveness here, so its
+        files are left alone (unlinking them would make that host's
+        ``os.replace`` fail).  Best-effort: pids recycle (a falsely
+        "alive" stale file waits for the next sweep) and unlink errors
+        are ignored.
         """
         if not self.root.is_dir():
             return
-        patterns = ("*.json.tmp", "*.json.*.tmp", "*/*.json.tmp", "*/*.json.*.tmp")
-        for pattern in patterns:
-            for stale in self.root.glob(pattern):
-                parts = stale.name.split(".")
-                # <key>.json.<pid>.<seq>.tmp — skip live writers.
-                if len(parts) >= 5:
-                    try:
-                        writer = int(parts[-3])
-                    except ValueError:
-                        writer = None
-                    if writer is not None and _pid_alive(writer):
-                        continue
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
+        stale = list(self.root.glob("*.json.tmp"))
+        for path in self.root.glob(f"*.json.{_TMP_HOST}.*.tmp"):
+            try:
+                writer = int(path.name.split(".")[-3])
+            except ValueError:
+                continue
+            if not _pid_alive(writer):
+                stale.append(path)
+        for path in stale:
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
     # -- StoreBackend --------------------------------------------------------
     def load(self, key: str) -> Mapping | None:
@@ -456,68 +456,6 @@ class JsonDirBackend:
             self.evictions += 1
 
 
-class SharedDirBackend(JsonDirBackend):
-    """The filesystem-mounted shared layout for many workers/machines.
-
-    Entries fan out into 256 two-hex-character subdirectories keyed by
-    the address prefix (``ab/<address>.json``) — the sharding pattern
-    that keeps a store shared over NFS (or any network mount) from
-    concentrating every lookup in one directory.  Atomicity and
-    read-through semantics are inherited from :class:`JsonDirBackend`;
-    distributed-service workers commit results here and brokers (or any
-    later invocation) read them through into their in-memory layer.
-    """
-
-    FANOUT = 2
-    MARKER = ".shared-layout"
-
-    def __init__(self, root: "Path | str", max_bytes: int | None = None) -> None:
-        super().__init__(root, max_bytes=max_bytes)
-        # Stamp the layout eagerly: a worker autodetecting this root
-        # (``open_disk_backend``) must pick the fanout layout even while
-        # the store is still empty, or its commits would land where the
-        # broker never looks.
-        try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            (self.root / self.MARKER).touch()
-        except OSError:
-            pass
-
-    def _entry_path(self, key: str) -> Path:
-        prefix = key[: self.FANOUT] if len(key) > self.FANOUT else "_"
-        return self.root / prefix / f"{key}.json"
-
-    def _entries(self) -> Iterator[Path]:
-        if not self.root.is_dir():
-            return iter(())
-        return self.root.glob("*/*.json")
-
-
-def open_disk_backend(
-    root: "Path | str", max_bytes: int | None = None
-) -> JsonDirBackend:
-    """Open an existing on-disk store, detecting its layout.
-
-    A directory holding the shared-layout marker (or, for pre-marker
-    stores, any fanout subdirectory) opens as :class:`SharedDirBackend`;
-    anything else opens flat.  Used by distributed workers and the
-    ``store stats``/``store purge`` CLI so one ``--store`` flag serves
-    both layouts.
-    """
-    root = Path(root)
-    if root.is_dir():
-        if (root / SharedDirBackend.MARKER).exists():
-            return SharedDirBackend(root, max_bytes=max_bytes)
-        for child in root.iterdir():
-            if child.is_dir() and len(child.name) == SharedDirBackend.FANOUT:
-                try:
-                    int(child.name, 16)
-                except ValueError:
-                    continue
-                return SharedDirBackend(root, max_bytes=max_bytes)
-    return JsonDirBackend(root, max_bytes=max_bytes)
-
-
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
@@ -528,8 +466,7 @@ class ResultStore:
 
     ``root=None`` keeps the store memory-only (one invocation's
     deduplication); a path adds JSON-on-disk persistence; an explicit
-    ``backend`` plugs in any :class:`StoreBackend` (the distributed
-    service passes :class:`SharedDirBackend`).  The counters record the
+    ``backend`` plugs in any :class:`StoreBackend`.  The counters record the
     outcome of every :meth:`get`/:meth:`get_or_run` lookup: ``hits``
     (served from memory or the backend, split out as ``disk_hits``) and
     ``misses`` (the caller had to simulate).
@@ -571,10 +508,15 @@ class ResultStore:
             ))
         if value.lower() in _DISABLED_VALUES:
             return cls(None)
-        if value.lower().startswith(SHARED_PREFIX):
-            shared_root = value[len(SHARED_PREFIX):].strip()
-            if shared_root:
-                return cls.shared(shared_root, max_bytes=max_bytes_from_env())
+        if value.lower().startswith("shared:"):
+            # A store shared across hosts is a plain directory; refuse
+            # rather than create a directory literally named "shared:…".
+            raise ValueError(
+                f"{CACHE_ENV_VAR}={value!r}: the 'shared:' prefix is no "
+                f"longer supported; a store shared across processes and "
+                f"hosts is a plain directory — set "
+                f"{CACHE_ENV_VAR}={value[len('shared:'):].strip()}"
+            )
         return cls(backend=JsonDirBackend(
             Path(value), max_bytes=max_bytes_from_env()
         ))
@@ -583,13 +525,6 @@ class ResultStore:
     def memory(cls) -> "ResultStore":
         """A memory-only store (per-invocation deduplication, no disk)."""
         return cls(None)
-
-    @classmethod
-    def shared(
-        cls, root: "Path | str", max_bytes: int | None = None
-    ) -> "ResultStore":
-        """A store over the shared (fanout) filesystem backend."""
-        return cls(backend=SharedDirBackend(root, max_bytes=max_bytes))
 
     # -- lookups -------------------------------------------------------------
     def key_for(self, fingerprint: Mapping) -> str:
@@ -625,31 +560,9 @@ class ResultStore:
         self.misses += 1
         return None
 
-    def fetch(self, key: str) -> RunResult | None:
-        """Uncounted read-through (no hit/miss accounting).
-
-        The distributed service's plumbing — brokers collecting results
-        a worker committed, workers checking whether a leased point was
-        already served — reads through here so the user-facing counters
-        keep the sequential path's meaning: one lookup per RunPoint.
-        """
-        obj = self._memory.get(key)
-        if isinstance(obj, RunResult):
-            return obj
-        payload = self.backend.load(key) if self.backend is not None else None
-        if payload is None:
-            return None
-        try:
-            result = decode_result(payload)
-        except (KeyError, ValueError, TypeError):
-            return None
-        self._memory[key] = result
-        return result
-
     def put(self, key: str, result: RunResult) -> bool:
         """Store a result; True when it is durably visible to a fresh
-        store sharing this backend (distributed workers gate their
-        lease completion on this)."""
+        store sharing this backend."""
         self._memory[key] = result
         return self.backend.store(key, encode_result(result))
 
@@ -688,19 +601,3 @@ class ResultStore:
         if self.lookups:
             line += f", {self.hit_rate():.0%} hit rate"
         return f"result-store: {line}"
-
-    # -- compatibility delegates --------------------------------------------
-    # The pre-backend store exposed these paths directly; the concurrent-
-    # writer regression tests (and possibly external tooling) still poke
-    # them, so they forward to the disk backend.
-    def _path_for(self, key: str) -> Path:
-        assert isinstance(self.backend, JsonDirBackend)
-        return self.backend._entry_path(key)
-
-    def _tmp_path_for(self, key: str) -> Path:
-        assert isinstance(self.backend, JsonDirBackend)
-        return self.backend._tmp_path_for(key)
-
-    def _sweep_stale_tmp(self) -> None:
-        if isinstance(self.backend, JsonDirBackend):
-            self.backend._sweep_stale_tmp()

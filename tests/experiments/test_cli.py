@@ -194,6 +194,27 @@ class TestUnifiedSurface:
         assert main(["store", "stats", "--store", str(store_root)]) == 0
         assert "0 entries" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["serve", "fig6", "--queue", "q"],
+        ["work", "--queue", "q"],
+        ["fig6", "--distributed", "2"],
+    ])
+    def test_retired_service_surface_is_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code != 0
+
+    def test_retired_shared_store_spelling_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_RESULT_CACHE", f"shared:{tmp_path / 's'}")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["table1"])
+        assert excinfo.value.code != 0
+        assert f"REPRO_RESULT_CACHE={tmp_path / 's'}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_old_module_spelling_is_gone(self):
         import os
         import subprocess

@@ -3,18 +3,24 @@
 import pytest
 
 from repro.common.params import MachineConfig
-from repro.experiments.parallel import (
-    RunSpec,
-    execute_spec_parallel,
-    run_matrix_parallel,
-    run_specs,
-)
+from repro.experiments.parallel import RunSpec, execute_spec_parallel, run_specs
 from repro.experiments.runner import ExperimentSetup, run_matrix
+from repro.experiments.spec import ExperimentSpec, RunPoint, execute_spec
+from repro.experiments.store import ResultStore
 
 
 @pytest.fixture(scope="module")
 def setup():
     return ExperimentSetup(MachineConfig.small(), scale=0.08, seed=3)
+
+
+def grid(schemes, benchmarks):
+    """The (benchmark x scheme) grid as an anonymous spec."""
+    return ExperimentSpec("matrix", tuple(
+        RunPoint(scheme=scheme, benchmark=benchmark)
+        for benchmark in benchmarks
+        for scheme in schemes
+    ))
 
 
 class TestRunSpecs:
@@ -46,7 +52,10 @@ class TestMatrixEquivalence:
         schemes = ("S-NUCA", "RT-3")
         benchmarks = ("DEDUP", "BARNES")
         sequential = run_matrix(setup, schemes, benchmarks)
-        parallel = run_matrix_parallel(setup, schemes, benchmarks, max_workers=1)
+        parallel = execute_spec_parallel(
+            grid(schemes, benchmarks), setup, ResultStore.memory(),
+            max_workers=1,
+        )
         for benchmark in benchmarks:
             for scheme in schemes:
                 seq = sequential[benchmark][scheme]
@@ -55,26 +64,45 @@ class TestMatrixEquivalence:
                 assert seq.total_energy == pytest.approx(par.total_energy)
 
     def test_asr_level_search_in_parallel(self, setup):
-        matrix = run_matrix_parallel(
-            setup, ("ASR",), ("PATRICIA",), max_workers=1
+        matrix = execute_spec_parallel(
+            grid(("ASR",), ("PATRICIA",)), setup, ResultStore.memory(),
+            max_workers=1,
         )
         result = matrix["PATRICIA"]["ASR"]
         assert result.asr_level in (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_process_pool_path(self, setup):
         """Exercise the real multiprocess path on a tiny matrix."""
-        matrix = run_matrix_parallel(
-            setup, ("S-NUCA", "RT-3"), ("DEDUP",), max_workers=2
+        matrix = execute_spec(
+            grid(("S-NUCA", "RT-3"), ("DEDUP",)), setup, max_workers=2
         )
         assert matrix["DEDUP"]["S-NUCA"].completion_time > 0
         assert matrix["DEDUP"]["RT-3"].completion_time > 0
 
+    def test_pool_stores_what_sequential_stores(self, setup):
+        """The store holds the same payload whichever executor ran a
+        point first: stats, energy and ``asr_level`` — including an ASR
+        point with an explicit level, which skips the search."""
+        spec = ExperimentSpec("payloads", (
+            RunPoint("RT-3", "DEDUP"),
+            RunPoint("ASR", "DEDUP"),
+            RunPoint("ASR", "DEDUP", scheme_kwargs={"replication_level": 0.5},
+                     label="ASR-0.5"),
+        ))
+        sequential = execute_spec(spec, setup)
+        pooled = execute_spec(spec, setup, max_workers=2)
+        for point in spec.points:
+            seq = sequential.result_for(point)
+            par = pooled.result_for(point)
+            assert seq.stats == par.stats, point
+            assert seq.energy_breakdown == par.energy_breakdown, point
+            assert seq.asr_level == par.asr_level, point
+        pinned = sequential.result_for(spec.points[-1])
+        assert pinned.asr_level == 0.5
+
 
 class TestExecuteSpecParallel:
     def test_store_hits_skip_simulation(self, setup):
-        from repro.experiments.spec import ExperimentSpec, RunPoint, execute_spec
-        from repro.experiments.store import ResultStore
-
         store = ResultStore.memory()
         spec = ExperimentSpec("par", (RunPoint("S-NUCA", "DEDUP"),))
         sequential = execute_spec(spec, setup, store=store)
@@ -86,9 +114,6 @@ class TestExecuteSpecParallel:
         )
 
     def test_duplicate_addresses_simulated_once(self, setup):
-        from repro.experiments.spec import ExperimentSpec, RunPoint
-        from repro.experiments.store import ResultStore
-
         store = ResultStore.memory()
         spec = ExperimentSpec(
             "dupes",

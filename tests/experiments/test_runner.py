@@ -60,9 +60,16 @@ class TestASRSearch:
         result = run_one(setup, "ASR", "PATRICIA")
         assert result.asr_level is not None
 
-    def test_explicit_level_skips_search(self, setup):
+    def test_explicit_level_skips_search(self, setup, monkeypatch):
+        import repro.experiments.runner as runner_module
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("an explicit level must not search")
+
+        monkeypatch.setattr(runner_module, "run_asr_best", no_search)
         result = run_one(setup, "ASR", "PATRICIA", replication_level=0.25)
-        assert result.asr_level is None
+        # The level that ran is reported, as the process pool reports it.
+        assert result.asr_level == 0.25
 
     def test_best_level_minimizes_edp(self, setup):
         best = run_asr_best(setup, "PATRICIA")

@@ -8,6 +8,7 @@ from repro.common.params import MachineConfig
 from repro.experiments.runner import ExperimentSetup, run_one
 from repro.experiments.spec import RunPoint
 from repro.experiments.store import (
+    _TMP_HOST,
     CACHE_ENV_VAR,
     ResultStore,
     decode_result,
@@ -15,6 +16,15 @@ from repro.experiments.store import (
     encode_result,
     fingerprint_key,
 )
+
+
+def dead_pid() -> int:
+    """A reaped child's pid: a guaranteed-dead writer stamp."""
+    import subprocess
+
+    child = subprocess.Popen(["true"])
+    child.wait()
+    return child.pid
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +158,9 @@ class TestConcurrentWriters:
         first = ResultStore(tmp_path)
         second = ResultStore(tmp_path)
         names = {
-            first._tmp_path_for("cafe"),
-            first._tmp_path_for("cafe"),
-            second._tmp_path_for("cafe"),
+            first.backend._tmp_path_for("cafe"),
+            first.backend._tmp_path_for("cafe"),
+            second.backend._tmp_path_for("cafe"),
         }
         assert len(names) == 3
         for name in names:
@@ -186,15 +196,10 @@ class TestConcurrentWriters:
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_stale_tmp_litter_is_swept_on_open(self, tmp_path, result):
-        import subprocess
-
         store = ResultStore(tmp_path)
         store.put("cafe", result)
-        # A reaped child's pid is a guaranteed-dead writer stamp.
-        child = subprocess.Popen(["true"])
-        child.wait()
         (tmp_path / "dead.json.tmp").write_text("{torn", encoding="utf-8")
-        (tmp_path / f"beef.json.{child.pid}.3.tmp").write_text(
+        (tmp_path / f"beef.json.{_TMP_HOST}.{dead_pid()}.3.tmp").write_text(
             "{torn", encoding="utf-8"
         )
         # Foreign files in a shared directory are not the store's to sweep.
@@ -212,10 +217,20 @@ class TestConcurrentWriters:
         that writer's persistence (its os.replace fails)."""
         import os
 
-        in_flight = tmp_path / f"cafe.json.{os.getpid()}.7.tmp"
+        in_flight = tmp_path / f"cafe.json.{_TMP_HOST}.{os.getpid()}.7.tmp"
         in_flight.write_text("{partial", encoding="utf-8")
         ResultStore(tmp_path)
         assert in_flight.exists()
+
+    def test_sweep_spares_other_hosts_in_flight_files(self, tmp_path):
+        """On a directory shared across hosts, a pid from another host
+        says nothing about liveness here: its temp file may be that
+        host's in-flight write and must survive this host's sweep."""
+        pid = dead_pid()
+        foreign = tmp_path / f"cafe.json.{_TMP_HOST}-elsewhere.{pid}.7.tmp"
+        foreign.write_text("{partial", encoding="utf-8")
+        ResultStore(tmp_path)
+        assert foreign.exists()
 
     def test_open_on_missing_directory_is_harmless(self, tmp_path):
         store = ResultStore(tmp_path / "not-yet-created")

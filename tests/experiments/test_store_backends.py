@@ -12,10 +12,8 @@ from repro.experiments.store import (
     JsonDirBackend,
     MemoryBackend,
     ResultStore,
-    SharedDirBackend,
     StoreBackend,
     max_bytes_from_env,
-    open_disk_backend,
 )
 
 
@@ -34,20 +32,17 @@ class TestProtocol:
         for backend in (
             MemoryBackend(),
             JsonDirBackend(tmp_path / "flat"),
-            SharedDirBackend(tmp_path / "shared"),
         ):
             assert isinstance(backend, StoreBackend)
 
     def test_persistence_flags(self, tmp_path):
         assert not MemoryBackend().persistent
         assert JsonDirBackend(tmp_path).persistent
-        assert SharedDirBackend(tmp_path).persistent
 
     def test_load_unknown_key_is_none(self, tmp_path):
         for backend in (
             MemoryBackend(),
             JsonDirBackend(tmp_path / "flat"),
-            SharedDirBackend(tmp_path / "shared"),
         ):
             assert backend.load(KEY) is None
 
@@ -56,7 +51,6 @@ class TestProtocol:
         for backend in (
             MemoryBackend(),
             JsonDirBackend(tmp_path / "flat"),
-            SharedDirBackend(tmp_path / "shared"),
         ):
             assert backend.store(KEY, payload)
             assert dict(backend.load(KEY)) == payload
@@ -66,51 +60,27 @@ class TestProtocol:
             assert not backend.delete(KEY)
 
 
-class TestSharedLayout:
-    def test_entries_fan_out_by_key_prefix(self, tmp_path):
-        backend = SharedDirBackend(tmp_path)
-        backend.store(KEY, {"v": 1})
-        assert (tmp_path / KEY[:2] / f"{KEY}.json").is_file()
+class TestSharedDirectory:
+    """A store shared across processes and hosts is a plain directory."""
 
-    def test_marker_written_eagerly(self, tmp_path):
-        SharedDirBackend(tmp_path / "s")
-        assert (tmp_path / "s" / SharedDirBackend.MARKER).exists()
-
-    def test_autodetect_empty_shared_store(self, tmp_path):
-        # A worker opening a store the broker just created (still empty)
-        # must agree on the layout, or its commits land where the broker
-        # never looks.
-        SharedDirBackend(tmp_path / "s")
-        opened = open_disk_backend(tmp_path / "s")
-        assert isinstance(opened, SharedDirBackend)
-
-    def test_autodetect_populated_stores(self, tmp_path):
-        shared = SharedDirBackend(tmp_path / "s")
-        shared.store(KEY, {"v": 1})
-        flat = JsonDirBackend(tmp_path / "f")
-        flat.store(KEY, {"v": 1})
-        assert isinstance(open_disk_backend(tmp_path / "s"), SharedDirBackend)
-        detected_flat = open_disk_backend(tmp_path / "f")
-        assert type(detected_flat) is JsonDirBackend
-
-    def test_cross_instance_visibility(self, tmp_path):
-        # Two stores over the same directory model two processes.
-        writer = ResultStore.shared(tmp_path / "s")
-        reader = ResultStore.shared(tmp_path / "s")
-        assert reader.fetch(KEY) is None
-
-    def test_shared_env_prefix(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_ENV_VAR, f"shared:{tmp_path / 's'}")
-        store = ResultStore.from_env()
-        assert isinstance(store.backend, SharedDirBackend)
-        assert store.root == tmp_path / "s"
+    def test_retired_shared_prefix_names_the_plain_spelling(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        target = tmp_path / "s"
+        monkeypatch.setenv(CACHE_ENV_VAR, f"shared:{target}")
+        with pytest.raises(ValueError) as excinfo:
+            ResultStore.from_env()
+        assert f"{CACHE_ENV_VAR}={target}" in str(excinfo.value)
+        # Nothing was created under either spelling.
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResultRoundtrip:
     def test_shared_backend_roundtrips_results_exactly(self, tmp_path, result):
-        writer = ResultStore.shared(tmp_path / "s")
+        writer = ResultStore(tmp_path / "s")
         assert writer.put(KEY, result)
-        reader = ResultStore.shared(tmp_path / "s")
+        reader = ResultStore(tmp_path / "s")
         loaded = reader.get(KEY)
         assert loaded is not None
         assert loaded.stats.completion_time == result.stats.completion_time
@@ -167,7 +137,7 @@ class TestSizeBound:
 
 class TestMaintenance:
     def test_purge_reports_what_was_removed(self, tmp_path):
-        backend = SharedDirBackend(tmp_path)
+        backend = JsonDirBackend(tmp_path)
         backend.store(KEY, {"v": 1})
         backend.store(OTHER, {"v": 2})
         removed = backend.purge()
@@ -183,9 +153,9 @@ class TestMaintenance:
         assert "1 entries" in line
 
     def test_torn_entry_reads_as_miss(self, tmp_path):
-        backend = SharedDirBackend(tmp_path)
+        backend = JsonDirBackend(tmp_path)
         backend.store(KEY, {"v": 1, "pad": "x" * 100})
-        path = tmp_path / KEY[:2] / f"{KEY}.json"
+        path = tmp_path / f"{KEY}.json"
         path.write_text(path.read_text()[:10])
         assert backend.load(KEY) is None
 
