@@ -4,7 +4,7 @@
 An :class:`ExperimentSpec` is just data — a named grid of
 :class:`RunPoint`s — and :func:`execute_spec` takes care of everything
 the built-in figures get: trace reuse, content-addressed result caching,
-decoded-view release, optional process-pool sharding.  The returned
+optional process-pool sharding.  The returned
 :class:`ResultSet` answers table-shaped questions directly.
 
 This one asks a question the paper doesn't plot: how sensitive is the

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro trace import CAPTURE --out TRACE.npz [options]
     python -m repro trace inspect TRACE.npz
-    python -m repro trace simulate TRACE [--scheme S] [--stream] [--json]
+    python -m repro trace simulate TRACE [--scheme S] [--no-stream] [--json]
     python -m repro trace synthesize-fixture --format FMT --out CAPTURE [options]
     python -m repro experiments ...     figures, tables, result store
     python -m repro testing ...         kernel verification / fuzzing
@@ -34,12 +34,15 @@ The ``trace`` group is the real-trace ingestion pipeline
 ``simulate``
     Run a trace archive or a ChampSim *binary* capture
     (``.trace.xz``/``.champsimtrace.xz``) through one scheme.  Binary
-    captures stream by default: chunks are decoded on a background
-    thread while the simulator consumes the previous chunk, so
-    giga-record captures run in bounded memory.  ``--json`` emits a
-    digest line (stats SHA-256, completion time, peak RSS) that the
-    ``streaming-smoke`` CI job diffs across streamed and materialized
-    runs.
+    captures stream: chunks are decoded on a background thread while
+    the simulator consumes the previous chunk, so giga-record captures
+    run in bounded memory; ``--no-stream`` imports the capture whole
+    instead (the materialized ground truth).  An archive is always
+    loaded whole; the fast kernel still pulls it in bounded windows.
+    The window size is ``REPRO_STREAM_CHUNK`` records per core for
+    both.  ``--json`` emits a digest line (stats SHA-256, completion
+    time, peak RSS) that the ``streaming-smoke`` CI job diffs across
+    streamed and materialized runs.
 
 ``synthesize-fixture``
     Generate a small synthetic capture *in an external format* — the
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = commands.add_parser(
         "simulate",
         help="run an archive or binary capture through one scheme "
-             "(streaming by default for captures)",
+             "(binary captures stream)",
     )
     sim.add_argument("trace", type=Path,
                      help=".npz trace archive or ChampSim binary capture "
@@ -158,17 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=sorted(FIXTURE_MACHINES),
                      help="core count for binary captures (default 4); "
                           "archives carry their own")
-    stream_group = sim.add_mutually_exclusive_group()
-    stream_group.add_argument("--stream", dest="stream", action="store_true",
-                              default=None,
-                              help="force bounded-memory streaming "
-                                   "(default for binary captures)")
-    stream_group.add_argument("--no-stream", dest="stream",
-                              action="store_false",
-                              help="force full materialization")
-    sim.add_argument("--chunk", type=int, default=None, metavar="RECORDS",
-                     help="streaming window size in records per core "
-                          "(default: REPRO_STREAM_CHUNK or 65536)")
+    sim.add_argument("--no-stream", action="store_true",
+                     help="import a binary capture whole instead of "
+                          "streaming it (archives are always loaded whole)")
     sim.add_argument("--max-inst", type=int, default=None, metavar="N",
                      help="simulate at most N capture instructions")
     sim.add_argument("--json", action="store_true",
@@ -293,23 +288,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     from repro.schemes.factory import make_scheme
     from repro.sim.simulator import simulate
-    from repro.workloads.streaming import StreamingTraceSet, stream_threshold_bytes
+    from repro.workloads.streaming import StreamingTraceSet
 
     path = args.trace
     if not path.exists():
         raise SystemExit(f"{path} does not exist")
-    is_archive = path.suffix == ".npz"
-    if is_archive:
+    if path.suffix == ".npz":
         if args.max_inst is not None:
             raise SystemExit("--max-inst applies to binary captures, not "
                              ".npz archives (re-import with --max-inst)")
         traces = load_trace_set(path)
-        stream = args.stream
-        if stream is None:
-            threshold = stream_threshold_bytes()
-            stream = threshold >= 0 and path.stat().st_size >= threshold
-        if stream:
-            traces = StreamingTraceSet.from_trace_set(traces, args.chunk)
     else:
         if detect_format(path) != "champsim-bin":
             raise SystemExit(
@@ -318,7 +306,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"(python -m repro trace import)"
             )
         cores = args.cores if args.cores is not None else 4
-        if args.stream is False:
+        if args.no_stream:
             traces = import_trace(
                 path,
                 fmt="champsim-bin",
@@ -329,7 +317,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             traces = StreamingTraceSet.from_champsim_bin(
                 path,
                 num_cores=cores,
-                chunk_records=args.chunk,
                 max_instructions=args.max_inst,
             )
     config_factory = FIXTURE_MACHINES.get(traces.num_cores)

@@ -24,7 +24,7 @@
 
 Each ablation is one :class:`ExperimentSpec` — labeled RunPoints over
 the RT-3 scheme with config overrides or scheme kwargs — executed by
-the shared spec executor (result reuse, centralized trace release).
+the shared spec executor (trace reuse, result reuse).
 """
 
 from __future__ import annotations

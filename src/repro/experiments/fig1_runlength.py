@@ -88,7 +88,6 @@ def run_fig1(
                 continue
         traces = setup.trace_for(benchmark)
         profile = profile_run_lengths(setup.config, traces, kernel=setup.kernel)
-        setup.release_decoded(benchmark)
         if store is not None and key is not None:
             store.put_payload(key, encode_profile(profile))
         profiles[benchmark] = profile

@@ -23,7 +23,6 @@ from repro.sim.stats import SimStats
 from repro.workloads.benchmarks import BENCHMARK_ORDER, build_trace, get_profile
 from repro.workloads.imports import imported_trace_path, is_imported_benchmark
 from repro.workloads.io import load_trace_set
-from repro.workloads.streaming import StreamingTraceSet, stream_threshold_bytes
 from repro.workloads.trace import TraceSet
 
 
@@ -72,38 +71,20 @@ class ExperimentSetup:
         imported capture is fixed data).  The simulator still checks
         that the trace's core count matches this setup's machine.
 
-        Large imported archives stream: when the archive file exceeds
-        ``REPRO_STREAM_THRESHOLD`` bytes (default 64 MiB; ``0`` streams
-        everything, negative never streams) the loaded set is wrapped in
-        a :class:`~repro.workloads.streaming.StreamingTraceSet`, so the
-        simulator runs it chunk-by-chunk in bounded memory.  Streamed
-        and materialized runs are bit-identical by construction.
+        Either way the result is a plain :class:`TraceSet`; the fast
+        kernel already pulls it in bounded windows, so the boxed working
+        set of a large archive is one chunk per core.
         """
         trace = self._trace_cache.get(benchmark)
         if trace is None:
             if is_imported_benchmark(benchmark):
-                path = imported_trace_path(benchmark)
-                trace = load_trace_set(path)
-                threshold = stream_threshold_bytes()
-                if threshold >= 0 and path.stat().st_size >= threshold:
-                    trace = StreamingTraceSet.from_trace_set(trace)
+                trace = load_trace_set(imported_trace_path(benchmark))
             else:
                 trace = build_trace(
                     get_profile(benchmark), self.config, self.scale, self.seed
                 )
             self._trace_cache[benchmark] = trace
         return trace
-
-    def release_decoded(self, benchmark: str) -> None:
-        """Free ``benchmark``'s decoded hot-loop views (kept: the TraceSet).
-
-        Experiment loops call this after finishing a benchmark's batch of
-        runs: the fast kernel's decoded views are boxed-Python copies of
-        the trace arrays, pure dead weight once the batch is done.
-        """
-        trace = self._trace_cache.get(benchmark)
-        if trace is not None:
-            trace.release_decoded()
 
     @classmethod
     def small(cls, scale: float = 1.0, seed: int = 1, **config_overrides) -> "ExperimentSetup":
@@ -176,7 +157,7 @@ def run_matrix(
     Returns a :class:`~repro.experiments.results.ResultSet`, readable as
     the legacy ``results[benchmark][scheme]`` mapping.  Implemented as an
     anonymous :class:`~repro.experiments.spec.ExperimentSpec` so the
-    executor owns trace release and per-invocation deduplication.
+    executor owns per-invocation deduplication.
     """
     from repro.experiments.spec import ExperimentSpec, RunPoint, execute_spec
 

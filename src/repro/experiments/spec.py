@@ -13,9 +13,7 @@ describes each figure as data instead of bespoke loops:
 * :func:`execute_spec` — the single executor.  It resolves each point
   against an :class:`~repro.experiments.runner.ExperimentSetup`, checks
   the content-addressed :class:`~repro.experiments.store.ResultStore`,
-  simulates only the misses, groups points by benchmark so decoded trace
-  views are released exactly once per benchmark (figure modules can no
-  longer leak them), and returns a queryable
+  simulates only the misses, and returns a queryable
   :class:`~repro.experiments.results.ResultSet`.  ``max_workers > 1``
   fans the missed points out over a process pool
   (:func:`repro.experiments.parallel.execute_spec_parallel`).  Several
@@ -221,34 +219,13 @@ def execute_spec(
 
     setups: dict = {}
     results: dict = {}
-    for benchmark, points in _group_by_benchmark(spec.points):
-        group_setups = []
-        for point in points:
-            point_setup = _setup_for(point, setup, setups)
-            if point_setup not in group_setups:
-                group_setups.append(point_setup)
-            key = store.key_for(point.fingerprint(setup))
-            results[point] = store.get_or_run(
-                key, lambda p=point, s=point_setup: _run_point(p, s)
-            )
-        # Centralized decoded-trace release: exactly once per benchmark,
-        # after its whole batch — individual figure modules no longer
-        # call (or forget to call) release_decoded themselves.
-        for point_setup in group_setups:
-            point_setup.release_decoded(benchmark)
+    for point in spec.points:
+        point_setup = _setup_for(point, setup, setups)
+        key = store.key_for(point.fingerprint(setup))
+        results[point] = store.get_or_run(
+            key, lambda p=point, s=point_setup: _run_point(p, s)
+        )
     return ResultSet.from_spec(spec, results)
-
-
-def _group_by_benchmark(points: Sequence[RunPoint]):
-    """Points grouped by benchmark, in first-appearance order.
-
-    Grouping keeps each benchmark's trace (and its decoded hot-loop
-    views) live for exactly one contiguous batch of runs.
-    """
-    groups: dict = {}
-    for point in points:
-        groups.setdefault(point.benchmark, []).append(point)
-    return groups.items()
 
 
 def _setup_for(point: RunPoint, setup: ExperimentSetup, cache: dict) -> ExperimentSetup:

@@ -12,11 +12,12 @@ and reschedules it.  Two interchangeable kernels implement that loop:
 
 * :class:`FastKernel` — the optimized hot path, and the only loop that
   consumes streamed traces.  It executes each core out of decoded
-  *windows* (:class:`~repro.workloads.trace.DecodedTrace`): a
-  materialized :class:`~repro.workloads.trace.TraceSet` hands over each
-  core's whole cached decoded view as one window, and a
-  :class:`~repro.workloads.streaming.StreamingTraceSet` hands over
-  bounded, coverage-checked chunks.  Records are issued through the
+  *windows* (:class:`~repro.workloads.trace.DecodedTrace`) pulled from
+  the set's ``open_source()``: a materialized
+  :class:`~repro.workloads.trace.TraceSet` and a
+  :class:`~repro.workloads.streaming.StreamingTraceSet` both hand over
+  bounded chunks of ``REPRO_STREAM_CHUNK`` records per core, decoded as
+  they arrive.  Records are issued through the
   engine's specialized access closure
   (:meth:`~repro.schemes.base.ProtocolEngine.make_fast_access`), and a
   popped core runs *inline* for as long as it remains globally earliest,
@@ -36,7 +37,8 @@ and nightly over randomized fuzzed profiles.
 popped core — the globally earliest — can exhaust its window, and no
 other core may legally execute while an earlier-keyed core still has
 records, so pulling the starved core's next window (and only then
-proceeding) replays exactly the event order of one whole-trace window.
+proceeding) replays exactly the event order of one whole-trace window,
+whatever the chunk size.
 
 Kernels accept an optional ``perturb_seed``: when set, *scheduler
 pushes* that are provably order-free — the time-zero seeding of the
@@ -56,8 +58,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.common.types import AccessType
 from repro.sim import stats as stat_names
-from repro.workloads.streaming import window_decoded
-from repro.workloads.trace import TraceSet, check_coverage, region_bounds
+from repro.workloads.trace import DecodedTrace, TraceSet
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports stats)
     from repro.schemes.base import ProtocolEngine
@@ -193,9 +194,8 @@ class FastKernel(SimulationKernel):
        earlier than the heap front, eliminating push/pop pairs (a large
        win whenever one core runs ahead of or behind the pack).
 
-    Only a core whose window is exhausted pulls the next one; a
-    materialized set has a single window per core, so its second pull
-    ends the core.
+    Only a core whose window is exhausted pulls the next one; a pull
+    that returns ``None`` ends the core.
     """
 
     name = "fast"
@@ -307,42 +307,19 @@ def _open_windows(traces):
 
     ``pull(core)`` returns the core's next :class:`DecodedTrace` window,
     or ``None`` once its records are exhausted; ``close()`` releases the
-    stream; ``integral`` says whether every gap of the whole set is
-    integer-valued (only then is a per-window Compute sum exact).  A
-    materialized set yields each core's cached decoded view once.  A
-    streaming set yields its source's chunks, each checked against the
-    region map as it arrives (the set cannot be validated up front
-    without consuming it).
+    source; ``integral`` says whether every gap of the whole set is
+    integer-valued (only then is a per-window Compute sum exact).  Each
+    chunk the set's source hands over is decoded into a window that
+    lives until the core pulls the next one.
     """
-    if not getattr(traces, "is_streaming", False):
-        pending = list(traces.decoded())
-        integral = all(window.gaps_integral for window in pending)
-
-        def pull(core):
-            window = pending[core]
-            pending[core] = None
-            return window
-
-        return pull, _no_close, integral
-
-    name = traces.name
-    starts, ends = region_bounds(traces.regions)
     source = traces.open_source()
     source_pull = source.pull
 
     def pull(core):
         chunk = source_pull(core)
-        if chunk is None:
-            return None
-        types, lines, gaps = chunk
-        check_coverage(name, starts, ends, core, types, lines)
-        return window_decoded(types, lines, gaps)
+        return None if chunk is None else DecodedTrace(*chunk)
 
     return pull, source.close, traces.gaps_integral
-
-
-def _no_close() -> None:
-    """A materialized set holds no stream to release."""
 
 
 #: Registered kernels by name.

@@ -15,8 +15,9 @@ guarantees all cores carry the same number of barriers.
 
 The event loop itself is pluggable (:mod:`repro.sim.kernel`): the
 ``reference`` kernel is the simple per-record baseline and the ``fast``
-kernel is the hoisted/run-ahead window loop that also consumes streamed
-traces; the two are bit-identical — an equivalence the
+kernel is the hoisted/run-ahead loop over bounded per-core windows
+(``REPRO_STREAM_CHUNK`` records) of any set, materialized or streamed;
+the two are bit-identical — an equivalence the
 :mod:`repro.testing` differential harness enforces (continuously over
 fuzzed profiles in the nightly CI).  Select a kernel per call
 (``simulate(..., kernel="reference")``), per process
@@ -50,9 +51,10 @@ def simulate(
     (``"fast"``/``"reference"``), instance, or class; ``None`` uses the
     ``REPRO_SIM_KERNEL`` environment variable, defaulting to the fast
     kernel.  ``traces`` may be a materialized :class:`TraceSet` or a
-    :class:`~repro.workloads.streaming.StreamingTraceSet`; a stream
-    always runs the fast kernel's window loop (the reference loop indexes
-    whole traces), keeping the selected kernel's ``perturb_seed``.
+    :class:`~repro.workloads.streaming.StreamingTraceSet`; the fast
+    kernel pulls either in bounded windows, and a stream always runs it
+    (the reference loop indexes whole traces), keeping the selected
+    kernel's ``perturb_seed``.  The set's arrays are only read.
     """
     config = engine.config
     if traces.num_cores != config.num_cores:

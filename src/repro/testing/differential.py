@@ -23,6 +23,10 @@ prefixes to the earliest record count at which the kernels disagree and
 leads the report with the cycle-stamped stat fields that diverged there
 (:func:`locate_first_divergence`).
 
+The fast kernel reads every set in ``REPRO_STREAM_CHUNK``-record windows
+while the reference kernel indexes whole traces, so ``verify_kernels``
+under a small chunk also checks every window handoff.
+
 The randomized-profile fuzzing front-end lives in
 :mod:`repro.testing.fuzz` (CLI: ``python -m repro testing
 verify-kernels --fuzz N --seed S``), which the nightly CI runs across
@@ -330,47 +334,6 @@ def verify_all_kernels(
                 f"{prefix}{reference} vs {candidate}", locate,
             )
     return reference_stats
-
-
-def verify_streaming(
-    engine_builder: Callable[[], ProtocolEngine],
-    traces: TraceSet,
-    kernels: Iterable[str] | None = None,
-    chunk_records: int | None = None,
-    context: str = "",
-) -> SimStats:
-    """Assert streamed execution is bit-identical to materialized.
-
-    Wraps ``traces`` in a bounded-window
-    :class:`~repro.workloads.streaming.StreamingTraceSet` (``chunk_records``
-    per window; the ``REPRO_STREAM_CHUNK`` default otherwise) and checks
-    that each kernel produces the same :class:`SimStats` streamed as it
-    does over the materialized set.  Returns the materialized fast-kernel
-    stats on success.  The divergence bisection does not apply here —
-    the materialized/streamed pair differ in windowing, not kernel, so a
-    mismatch reports the whole-stats diff with the chunk size.
-    """
-    from repro.workloads.streaming import StreamingTraceSet
-
-    kernels = list(kernel_names()) if kernels is None else list(kernels)
-    if not kernels:
-        raise ValueError("verify_streaming needs at least one kernel")
-    streamed_set = StreamingTraceSet.from_trace_set(traces, chunk_records)
-    result: SimStats | None = None
-    for kernel in kernels:
-        materialized = simulate(engine_builder(), traces, kernel=kernel)
-        streamed = simulate(engine_builder(), streamed_set, kernel=kernel)
-        diffs = stats_diff(materialized, streamed)
-        if diffs:
-            prefix = f"{context}: " if context else ""
-            raise DifferentialMismatch(
-                diffs,
-                f"{prefix}materialized vs streamed "
-                f"(kernel={kernel}, chunk_records={chunk_records})",
-            )
-        if kernel == "fast":
-            result = materialized
-    return result if result is not None else materialized
 
 
 def verify_matrix(

@@ -22,12 +22,7 @@ from repro.workloads.champsim_bin import (
     write_champsim_bin,
 )
 from repro.workloads.io import load_trace_set, save_trace_set
-from repro.workloads.streaming import (
-    StreamingTraceSet,
-    iter_segments,
-    stream_chunk_records,
-    stream_threshold_bytes,
-)
+from repro.workloads.streaming import StreamingTraceSet, stream_chunk_records
 from repro.workloads.generators import (
     ComponentStream,
     compute_gaps,
@@ -51,10 +46,8 @@ __all__ = [
     "TraceImportError",
     "TraceSet",
     "build_trace",
-    "iter_segments",
     "read_champsim_bin",
     "stream_chunk_records",
-    "stream_threshold_bytes",
     "synthesize_champsim_bin",
     "write_champsim_bin",
     "compute_gaps",

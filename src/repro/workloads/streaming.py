@@ -1,45 +1,38 @@
-"""Streaming giga-trace pipeline: bounded-memory trace segmentation.
+"""Bounded-memory trace feeds for the fast kernel's window loop.
 
-Materialized simulation holds a whole :class:`~repro.workloads.trace.TraceSet`
-— and, for the fast kernel, its boxed
-:class:`~repro.workloads.trace.DecodedTrace` views — in memory at once.
-Real ChampSim captures are multi-GB, so this module feeds the simulator
-in bounded **segments** instead:
+Real ChampSim captures are multi-GB, so the fast kernel
+(:class:`repro.sim.kernel.FastKernel`) never takes a whole trace at
+once: it pulls per-core **windows** of at most ``REPRO_STREAM_CHUNK``
+records (default :data:`DEFAULT_CHUNK_RECORDS`) from a source, whatever
+the set.
 
-* :class:`SegmentSource` — the per-core pull interface the fast
-  kernel's window loop (:class:`repro.sim.kernel.FastKernel`) drains:
-  ``pull(core)`` returns
-  the core's next bounded ``(types, lines, gaps)`` arrays, or ``None``
-  when that core's stream is exhausted.  Two implementations:
+* :class:`SegmentSource` — the per-core pull interface:
+  ``pull(core)`` returns the core's next bounded ``(types, lines, gaps)``
+  arrays, or ``None`` when that core's stream is exhausted.  Two
+  implementations:
 
-  - :class:`ArraySegmentSource` slices an in-memory :class:`TraceSet`
-    (the ``.npz`` path: the compact arrays fit, the boxed views would
-    not — streaming bounds the boxed window to one chunk per core);
+  - :class:`ArraySegmentSource` slices an in-memory
+    :class:`~repro.workloads.trace.TraceSet` (what
+    :meth:`TraceSet.open_source` returns: zero-copy views, so the boxed
+    window is bounded by the chunk, not the trace);
   - :class:`CaptureSegmentSource` decodes an external capture file
     block-by-block (the direct-capture path: nothing but the current
     decode block and small per-core staging buffers ever exists).
 
 * :class:`SegmentProducer` — the decode/simulate overlap: a background
   thread pulls decoded segments from a source iterator into a bounded
-  queue (``REPRO_STREAM_QUEUE`` deep) so chunk ``N+1`` is decompressed
-  and decoded while the kernel simulates chunk ``N``.
+  queue (:data:`DEFAULT_QUEUE_DEPTH` deep) so chunk ``N+1`` is
+  decompressed and decoded while the kernel simulates chunk ``N``.
 
 * :class:`StreamingTraceSet` — the :class:`TraceSet`-shaped façade
-  (``is_streaming = True``) that :func:`repro.sim.simulator.simulate`
-  hands to the fast kernel's window loop.  It is *re-openable*: each
-  simulation run calls :meth:`open_source` for a fresh source, so one
-  streaming set can drive a whole experiment grid.
+  (``is_streaming = True``) over a capture that is never materialized.
+  It is *re-openable*: each simulation run calls :meth:`open_source`
+  for a fresh source, so one streaming set can drive a whole experiment
+  grid.
 
-* :func:`iter_segments` — the inspection/test-facing segment iterator
-  behind :meth:`TraceSet.segments`, yielding lock-step
-  :class:`TraceSegment` windows of decoded chunks plus the explicit
-  per-core handoff offsets.
-
-Chunk size comes from ``REPRO_STREAM_CHUNK`` (records per core per
-chunk, default :data:`DEFAULT_CHUNK_RECORDS`); the queue depth from
-``REPRO_STREAM_QUEUE``.  Memory stays proportional to
-``num_cores x chunk``, independent of trace length — see the README's
-"Streaming giga-traces" section for the measured envelope.
+Memory stays proportional to ``num_cores x chunk``, independent of trace
+length — see the README's "Streaming giga-traces" section for the
+measured envelope.
 """
 
 from __future__ import annotations
@@ -56,24 +49,17 @@ import numpy as np
 
 from repro.common.addr import Region
 from repro.common.types import AccessType, LineClass
-from repro.workloads.trace import CoreTrace, DecodedTrace, TraceSet
+from repro.workloads.trace import CoreTrace, TraceSet, check_coverage, region_bounds
 
 #: Default records per core per chunk.  At ~17 bytes/record of array
 #: data plus the boxed window the fast kernel touches (~600 bytes/record
 #: worst case), a 64-core machine stays well under a GB.
 DEFAULT_CHUNK_RECORDS = 65536
 
-#: Environment knobs (documented in the README).
+#: Environment knob for the chunk size (documented in the README).
 STREAM_CHUNK_ENV = "REPRO_STREAM_CHUNK"
-STREAM_QUEUE_ENV = "REPRO_STREAM_QUEUE"
-STREAM_THRESHOLD_ENV = "REPRO_STREAM_THRESHOLD"
 
-#: Archive size (bytes) above which ``imported:`` benchmarks stream by
-#: default (``REPRO_STREAM_THRESHOLD`` overrides; ``0`` streams always,
-#: a negative value never streams).
-DEFAULT_STREAM_THRESHOLD = 64 * 1024 * 1024
-
-#: Default bounded-queue depth for the decode/simulate overlap.
+#: Bounded-queue depth of the decode/simulate overlap.
 DEFAULT_QUEUE_DEPTH = 2
 
 
@@ -87,19 +73,6 @@ def stream_chunk_records(chunk_records: "int | None" = None) -> int:
     return chunk_records
 
 
-def stream_queue_depth() -> int:
-    raw = os.environ.get(STREAM_QUEUE_ENV)
-    depth = int(raw) if raw else DEFAULT_QUEUE_DEPTH
-    if depth < 1:
-        raise ValueError(f"{STREAM_QUEUE_ENV} must be >= 1, got {depth}")
-    return depth
-
-
-def stream_threshold_bytes() -> int:
-    raw = os.environ.get(STREAM_THRESHOLD_ENV)
-    return int(raw) if raw else DEFAULT_STREAM_THRESHOLD
-
-
 # ---------------------------------------------------------------------------
 # Segment sources
 # ---------------------------------------------------------------------------
@@ -111,7 +84,7 @@ CoreChunk = "tuple[np.ndarray, np.ndarray, np.ndarray]"
 class SegmentSource:
     """Per-core bounded record feed for one simulation run.
 
-    ``pull(core)`` hands the streaming event loop the next window of
+    ``pull(core)`` hands the fast kernel's window loop the next window of
     records for ``core`` — up to ``chunk_records`` of them — or ``None``
     when the core's stream is exhausted.  Pulls happen only for the
     *starved* (globally earliest) core, so a source needs no global
@@ -131,10 +104,11 @@ class SegmentSource:
 class ArraySegmentSource(SegmentSource):
     """Slice an in-memory :class:`TraceSet` into per-core windows.
 
-    The backing arrays stay as-is (compact numpy, no boxing); each pull
-    is a zero-copy slice, so the only per-window cost is the boxed
-    :class:`DecodedTrace` view the fast kernel builds — bounded by the
-    chunk size instead of the trace length.
+    The source behind :meth:`TraceSet.open_source`.  The backing arrays
+    stay as-is (compact numpy, no boxing, never frozen); each pull is a
+    zero-copy slice, so the only per-window cost is the boxed
+    :class:`~repro.workloads.trace.DecodedTrace` the fast kernel builds,
+    bounded by the chunk size instead of the trace length.
     """
 
     def __init__(self, traces: TraceSet, chunk_records: "int | None" = None):
@@ -248,10 +222,8 @@ class SegmentProducer:
     flag each block) and joins it.
     """
 
-    def __init__(self, segments: Iterable, depth: "int | None" = None):
-        self._queue: queue.Queue = queue.Queue(
-            maxsize=depth if depth is not None else stream_queue_depth()
-        )
+    def __init__(self, segments: Iterable, depth: int = DEFAULT_QUEUE_DEPTH):
+        self._queue: queue.Queue = queue.Queue(maxsize=depth)
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._produce, args=(iter(segments),),
@@ -309,15 +281,16 @@ class SegmentProducer:
 @dataclasses.dataclass
 class StreamingTraceSet:
     """A re-openable streaming trace with the :class:`TraceSet` surface
-    the simulator needs (``is_streaming = True`` routes
-    :func:`repro.sim.simulator.simulate` to the fast kernel's window loop).
+    the simulator needs (``is_streaming = True`` makes
+    :func:`repro.sim.simulator.simulate` run the fast kernel even when
+    the reference one was asked for: the reference loop indexes whole
+    traces).
 
     ``source_factory`` opens a fresh :class:`SegmentSource` per
     simulation run, so the set can drive many runs (an experiment grid)
     like a materialized set can.  ``regions`` must cover every accessed
-    line — the builders guarantee it (the npz wrapper inherits the
-    archive's map; the capture builder pre-scans), so per-run coverage
-    validation is by construction.
+    line — the capture builder pre-scans for it, and every source
+    :meth:`open_source` returns checks each chunk as it is pulled.
 
     ``gaps_integral`` must be ``True`` only when *every* record's gap is
     provably integer-valued: the fast kernel then charges Compute once
@@ -346,13 +319,29 @@ class StreamingTraceSet:
         self._starts = [base for base, _end, _cls in self._bases]
 
     def open_source(self) -> SegmentSource:
-        """A fresh segment source positioned at the start of the trace."""
-        return self.source_factory()
+        """A fresh segment source positioned at the start of the trace.
+
+        A stream cannot be validated up front without consuming it, so
+        the source checks each chunk against the region map as it is
+        pulled.
+        """
+        source = self.source_factory()
+        pull = source.pull
+        name = self.name
+        starts, ends = region_bounds(self.regions)
+
+        def checked_pull(core):
+            chunk = pull(core)
+            if chunk is not None:
+                check_coverage(name, starts, ends, core, chunk[0], chunk[1])
+            return chunk
+
+        source.pull = checked_pull
+        return source
 
     # -- TraceSet surface ---------------------------------------------------
     def validate_coverage(self) -> None:
-        """Coverage holds by construction (see the class docstring);
-        the fast kernel additionally validates each window."""
+        """A no-op: :meth:`open_source` checks each chunk instead."""
 
     def classify(self, line_addr: int) -> LineClass:
         index = bisect.bisect_right(self._starts, line_addr) - 1
@@ -362,9 +351,6 @@ class StreamingTraceSet:
                 return line_class
         raise KeyError(f"line {line_addr:#x} not in any region")
 
-    def release_decoded(self) -> None:
-        """Nothing cached to release — windows die with their run."""
-
     def total_accesses(self) -> "int | None":
         return self.total_records
 
@@ -372,29 +358,6 @@ class StreamingTraceSet:
         return sum(region.size for region, _cls in self.regions)
 
     # -- builders -----------------------------------------------------------
-    @classmethod
-    def from_trace_set(
-        cls,
-        traces: TraceSet,
-        chunk_records: "int | None" = None,
-    ) -> "StreamingTraceSet":
-        """Stream an in-memory set (bounds the *boxed* working set)."""
-        gaps_integral = all(
-            trace.gaps.dtype.kind in "iub"
-            or bool(np.all(trace.gaps == np.floor(trace.gaps)))
-            for trace in traces.cores
-        )
-        return cls(
-            name=traces.name,
-            num_cores=traces.num_cores,
-            regions=traces.regions,
-            source_factory=lambda: ArraySegmentSource(traces, chunk_records),
-            provenance=traces.provenance,
-            gaps_integral=gaps_integral,
-            total_records=traces.total_accesses(),
-            total_barriers=traces.cores[0].barrier_count() if traces.cores else 0,
-        )
-
     @classmethod
     def from_champsim_bin(
         cls,
@@ -515,67 +478,3 @@ class _RegionScan:
                 gaps=np.zeros(len(lines), dtype=np.uint16),
             ))
         return infer_regions(cores)
-
-
-# ---------------------------------------------------------------------------
-# Lock-step segment iteration (TraceSet.segments)
-# ---------------------------------------------------------------------------
-
-@dataclasses.dataclass(frozen=True)
-class TraceSegment:
-    """One lock-step window of a segmented trace.
-
-    ``decoded`` holds a bounded :class:`DecodedTrace` per core (cores
-    already exhausted get an empty one); ``start`` / ``stop`` give each
-    core's global record offsets — the explicit handoff state a consumer
-    needs to stitch windows (the fast kernel's window loop carries the
-    rest — clocks, pending barriers — in its own per-core slots).
-    """
-
-    index: int
-    decoded: "list[DecodedTrace]"
-    start: "tuple[int, ...]"
-    stop: "tuple[int, ...]"
-    last: bool
-
-
-def window_decoded(types: np.ndarray, lines: np.ndarray, gaps: np.ndarray) -> DecodedTrace:
-    """A bounded-window :class:`DecodedTrace` over chunk arrays."""
-    return DecodedTrace(CoreTrace(types=types, lines=lines, gaps=gaps))
-
-
-def iter_segments(
-    traces: TraceSet, chunk_records: "int | None" = None
-) -> Iterator[TraceSegment]:
-    """Yield a :class:`TraceSet` as bounded lock-step segments.
-
-    Every core advances by up to ``chunk_records`` per segment; the
-    yielded windows cover every record exactly once and carry the
-    per-core global offsets, so ``concat(segments) == trace`` per core.
-    This is the inspection-facing counterpart of the fast kernel's
-    per-core starvation-driven pulls (which need no lock-step).
-    """
-    chunk = stream_chunk_records(chunk_records)
-    lengths = [len(trace) for trace in traces.cores]
-    offsets = [0] * traces.num_cores
-    index = 0
-    while any(offset < length for offset, length in zip(offsets, lengths)):
-        start = tuple(offsets)
-        decoded = []
-        for core, trace in enumerate(traces.cores):
-            begin = offsets[core]
-            end = min(begin + chunk, lengths[core])
-            offsets[core] = end
-            decoded.append(window_decoded(
-                trace.types[begin:end],
-                trace.lines[begin:end],
-                trace.gaps[begin:end],
-            ))
-        yield TraceSegment(
-            index=index,
-            decoded=decoded,
-            start=start,
-            stop=tuple(offsets),
-            last=all(offset >= length for offset, length in zip(offsets, lengths)),
-        )
-        index += 1

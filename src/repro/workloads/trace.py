@@ -8,6 +8,12 @@ carry the same number of barriers).
 
 The :class:`TraceSet` also carries the region → data-class map so the
 Figure 1 profiler can classify lines without help from the simulator.
+
+The fast kernel reads every set the same way: it pulls bounded per-core
+windows from :meth:`TraceSet.open_source` (a streaming set offers the
+same method) and decodes each into a :class:`DecodedTrace` that lives
+only as long as the window.  Nothing is cached on the set, so its arrays
+stay as the caller made them.
 """
 
 from __future__ import annotations
@@ -26,86 +32,40 @@ _ACCESS_TYPE_BY_VALUE = {int(member): member for member in AccessType}
 
 
 class DecodedTrace:
-    """Plain-Python view of one core's records for the simulation hot loop.
+    """One window of one core's records, decoded for the fast kernel's loop.
 
     The simulator touches every record exactly once, so per-record numpy
     scalar extraction (``trace.types[i]``), ``AccessType(...)`` enum
     construction and ``float()``/``int()`` coercions dominate a naive
-    loop.  Decoding hoists all of that into one vectorized pass:
+    loop.  Decoding hoists all of that into one vectorized pass over the
+    window's arrays:
 
     * ``atypes`` — :class:`AccessType` members (table lookup, no enum call);
     * ``lines`` — native ints;
-    * ``gaps`` — native floats;
+    * ``gaps`` — native numbers (ints for an integer array, which add to
+      the float clock exactly as their float values would, and which
+      Python caches below 257 instead of boxing each one);
     * ``compute_cycles`` — the summed non-barrier compute gap, so the
       Compute latency bucket can be charged once per window instead of
-      once per record.  ``gaps_integral`` records whether every gap is
-      integer-valued: only then is the batched float sum order-independent
-      (exact), so the fast kernel falls back to per-record charging when
-      it is False to stay bit-identical to the reference accumulation
-      order.
+      once per record (exact only when the set's gaps are all
+      integer-valued; see ``TraceSet.gaps_integral``).
 
-    A view is one *window* of the fast kernel's loop: a whole core's
-    trace (:meth:`CoreTrace.decoded`) or one streamed chunk
-    (:func:`repro.workloads.streaming.window_decoded`).  The boxed views
-    (``atypes``/``lines``/``gaps``) are built lazily on first attribute
-    access and cached: constructing a ``DecodedTrace`` costs only the
-    cheap vectorized summaries (length, compute cycles, integrality), so
-    callers that never enter the boxed hot loop — the reference kernel —
-    never pay the ~30x boxed-list memory blowup, and
-    ``CoreTrace.release_decoded`` frees it deterministically.
+    The fast kernel builds one per pulled window and drops it when the
+    window is exhausted, so the boxed lists never outgrow one chunk per
+    core and the arrays they came from are neither kept nor frozen.
     """
 
-    __slots__ = (
-        "length", "compute_cycles", "gaps_integral",
-        "_types_array", "_gaps_array", "_lines_array",
-        "_atypes", "_lines", "_gaps",
-    )
+    __slots__ = ("length", "atypes", "lines", "gaps", "compute_cycles")
 
-    def __init__(self, trace: "CoreTrace") -> None:
-        self.length = len(trace.types)
-        non_barrier = trace.types != AccessType.BARRIER
+    def __init__(self, types: np.ndarray, lines: np.ndarray, gaps: np.ndarray) -> None:
+        table = _ACCESS_TYPE_BY_VALUE
+        self.length = len(types)
+        self.atypes = [table[value] for value in types.tolist()]
+        self.lines = lines.tolist()
+        self.gaps = gaps.tolist()
         self.compute_cycles = float(
-            trace.gaps[non_barrier].sum(dtype=np.float64)
+            gaps[types != AccessType.BARRIER].sum(dtype=np.float64)
         )
-        self.gaps_integral = trace.gaps.dtype.kind in "iub" or bool(
-            np.all(trace.gaps == np.floor(trace.gaps))
-        )
-        # Backing arrays retained for the lazy boxed views; frozen while
-        # this decoded view is cached (see CoreTrace.decoded).
-        self._types_array = trace.types
-        self._gaps_array = trace.gaps
-        self._lines_array = trace.lines
-        self._atypes: list | None = None
-        self._lines: list[int] | None = None
-        self._gaps: list[float] | None = None
-
-    @property
-    def atypes(self) -> list:
-        """Boxed :class:`AccessType` members (built and cached on first use)."""
-        atypes = self._atypes
-        if atypes is None:
-            table = _ACCESS_TYPE_BY_VALUE
-            atypes = [table[value] for value in self._types_array.tolist()]
-            self._atypes = atypes
-        return atypes
-
-    @property
-    def lines(self) -> list[int]:
-        """Boxed native-int line addresses (built and cached on first use)."""
-        lines = self._lines
-        if lines is None:
-            lines = self._lines_array.tolist()
-            self._lines = lines
-        return lines
-
-    @property
-    def gaps(self) -> list[float]:
-        """Boxed native-float gaps (built and cached on first use)."""
-        gaps = self._gaps
-        if gaps is None:
-            gaps = self._gaps_array.astype(np.float64).tolist()
-            self._gaps = gaps
-        return gaps
 
 
 def region_bounds(
@@ -158,35 +118,9 @@ class CoreTrace:
     def __post_init__(self) -> None:
         if not (len(self.types) == len(self.lines) == len(self.gaps)):
             raise ValueError("trace arrays must have equal length")
-        self._decoded: DecodedTrace | None = None
 
     def __len__(self) -> int:
         return len(self.types)
-
-    def decoded(self) -> DecodedTrace:
-        """Cached :class:`DecodedTrace` view.
-
-        Caching freezes the backing arrays (mutation would silently
-        desynchronize the cached view from the array data): in-place
-        writes raise until :meth:`release_decoded` thaws them.
-        """
-        if self._decoded is None:
-            self._decoded = DecodedTrace(self)
-            for array in (self.types, self.lines, self.gaps):
-                array.setflags(write=False)
-        return self._decoded
-
-    def release_decoded(self) -> None:
-        """Drop the cached decoded view (it rebuilds on demand).
-
-        The view holds boxed-Python copies of the arrays — worth freeing
-        once a batch of simulations over this trace is finished.  The
-        backing arrays become writable again.
-        """
-        if self._decoded is not None:
-            self._decoded = None
-            for array in (self.types, self.lines, self.gaps):
-                array.setflags(write=True)
 
     def barrier_count(self) -> int:
         return int(np.count_nonzero(self.types == AccessType.BARRIER))
@@ -196,11 +130,10 @@ class CoreTrace:
 class TraceSet:
     """Per-core traces plus the data-class layout of the address space."""
 
-    #: Class marker the simulator dispatches on: a materialized set is
-    #: simulated in one window per core, while a streaming set
-    #: (:class:`repro.workloads.streaming.StreamingTraceSet`, which
-    #: duck-types this surface) is fed to the fast kernel in
-    #: bounded-memory windows.
+    #: Class marker the simulator dispatches on: only a materialized set
+    #: can run the reference kernel, which indexes whole traces; a
+    #: streaming set (:class:`repro.workloads.streaming.StreamingTraceSet`,
+    #: which duck-types this surface) always runs the fast kernel.
     is_streaming = False
 
     name: str
@@ -229,28 +162,27 @@ class TraceSet:
     def num_cores(self) -> int:
         return len(self.cores)
 
-    def decoded(self) -> list[DecodedTrace]:
-        """Per-core :class:`DecodedTrace` views (cached on the cores).
+    @property
+    def gaps_integral(self) -> bool:
+        """Whether every gap is integer-valued, so the fast kernel may
+        charge Compute once per window (an exact, order-free sum).
 
-        Cheap to call: the views' expensive boxed lists are built lazily
-        per core on first hot-loop attribute access, not here.
+        Read per run: the arrays stay writable, so it is never cached.
         """
-        return [trace.decoded() for trace in self.cores]
+        return all(
+            trace.gaps.dtype.kind in "iub"
+            or bool(np.all(trace.gaps == np.floor(trace.gaps)))
+            for trace in self.cores
+        )
 
-    def segments(self, chunk_records: "int | None" = None):
-        """Iterate the set as bounded-memory :class:`TraceSegment` chunks.
+    def open_source(self):
+        """A fresh :class:`~repro.workloads.streaming.ArraySegmentSource`
+        over this set: the fast kernel pulls it in bounded windows
+        (``REPRO_STREAM_CHUNK`` records per core), exactly as it pulls
+        a streaming set's source."""
+        from repro.workloads.streaming import ArraySegmentSource
 
-        Delegates to :func:`repro.workloads.streaming.iter_segments`; see
-        there for the run-boundary handoff contract.
-        """
-        from repro.workloads.streaming import iter_segments
-
-        return iter_segments(self, chunk_records)
-
-    def release_decoded(self) -> None:
-        """Drop every core's cached decoded view."""
-        for trace in self.cores:
-            trace.release_decoded()
+        return ArraySegmentSource(self)
 
     def validate_coverage(self) -> None:
         """Raise ``ValueError`` if any access targets an unmapped line.

@@ -28,7 +28,6 @@ class TestCodec:
     def test_roundtrip_is_exact(self, setup):
         traces = setup.trace_for("DEDUP")
         profile = profile_run_lengths(setup.config, traces)
-        setup.release_decoded("DEDUP")
         rebuilt = decode_profile(encode_profile(profile))
         assert rebuilt.benchmark == profile.benchmark
         assert rebuilt.mass == profile.mass

@@ -15,6 +15,7 @@ from repro.experiments.spec import (
 from repro.experiments.store import ResultStore
 from repro.workloads.benchmarks import build_trace, get_profile
 from repro.workloads.io import save_trace_set
+from repro.workloads.trace import TraceSet
 
 
 @pytest.fixture
@@ -58,45 +59,17 @@ class TestTraceFor:
         name = f"imported:{imported_npz}"
         assert tiny_setup.trace_for(name) is tiny_setup.trace_for(name)
 
+    def test_archive_is_never_wrapped(self, tiny_setup, imported_npz, monkeypatch):
+        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "0")  # retired knob
+        traces = tiny_setup.trace_for(f"imported:{imported_npz}")
+        assert isinstance(traces, TraceSet) and not traces.is_streaming
+
     def test_core_count_mismatch_fails_in_simulate(self, imported_npz):
         from repro.experiments.runner import run_one
 
         setup = ExperimentSetup(MachineConfig.small(), scale=0.05, seed=4)
         with pytest.raises(ValueError, match="4 cores but machine has 16"):
             run_one(setup, "S-NUCA", f"imported:{imported_npz}")
-
-
-class TestStreamingThreshold:
-    def test_small_archives_stay_materialized_by_default(
-        self, tiny_setup, imported_npz, monkeypatch
-    ):
-        monkeypatch.delenv("REPRO_STREAM_THRESHOLD", raising=False)
-        traces = tiny_setup.trace_for(f"imported:{imported_npz}")
-        assert not getattr(traces, "is_streaming", False)
-
-    def test_zero_threshold_streams_and_results_are_identical(
-        self, tiny_config, imported_npz, monkeypatch
-    ):
-        from repro.experiments.runner import run_one
-
-        name = f"imported:{imported_npz}"
-        materialized = run_one(
-            ExperimentSetup(tiny_config, scale=0.05, seed=4), "RT-3", name
-        )
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "0")
-        setup = ExperimentSetup(tiny_config, scale=0.05, seed=4)
-        traces = setup.trace_for(name)
-        assert traces.is_streaming
-        setup.release_decoded(name)  # the streaming no-op surface
-        streamed = run_one(setup, "RT-3", name)
-        assert streamed.stats.to_dict() == materialized.stats.to_dict()
-
-    def test_negative_threshold_never_streams(
-        self, tiny_setup, imported_npz, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "-1")
-        traces = tiny_setup.trace_for(f"imported:{imported_npz}")
-        assert not getattr(traces, "is_streaming", False)
 
 
 class TestContentAddressing:

@@ -226,26 +226,6 @@ class TestExecuteSpec:
         assert store.misses == 1
         assert store.hits == 1
 
-    def test_release_decoded_centralized(self, setup):
-        released = []
-        original = setup.release_decoded
-        setup.release_decoded = lambda benchmark: (
-            released.append(benchmark), original(benchmark),
-        )
-        try:
-            spec = ExperimentSpec(
-                "release",
-                (
-                    RunPoint("S-NUCA", "DEDUP"),
-                    RunPoint("RT-3", "DEDUP"),
-                    RunPoint("S-NUCA", "BARNES"),
-                ),
-            )
-            execute_spec(spec, setup, store=ResultStore.memory())
-        finally:
-            setup.release_decoded = original
-        assert released == ["DEDUP", "BARNES"]
-
     def test_per_point_seed_override(self, setup):
         spec = ExperimentSpec(
             "seeds",

@@ -11,6 +11,7 @@ from repro.common.addr import Region
 from repro.common.types import AccessType, LineClass, MESIState, MissStatus
 from repro.schemes.base import AccessResult, ProtocolEngine
 from repro.sim.stats import SimStats
+from repro.workloads.streaming import ArraySegmentSource, StreamingTraceSet
 from repro.workloads.trace import CoreTrace, TraceSet
 
 
@@ -57,6 +58,23 @@ def records_trace_set(
         )
     return TraceSet(
         name, cores, [(Region(0, region_lines), LineClass.SHARED_RW)]
+    )
+
+
+def streamed_view(
+    traces: TraceSet, chunk_records: int, regions=None
+) -> StreamingTraceSet:
+    """``traces`` behind a :class:`StreamingTraceSet` façade that slices
+    its arrays in ``chunk_records`` windows (``regions`` overrides the
+    map the façade declares)."""
+    return StreamingTraceSet(
+        name=traces.name,
+        num_cores=traces.num_cores,
+        regions=traces.regions if regions is None else regions,
+        source_factory=lambda: ArraySegmentSource(traces, chunk_records),
+        gaps_integral=traces.gaps_integral,
+        total_records=traces.total_accesses(),
+        total_barriers=traces.cores[0].barrier_count() if traces.cores else 0,
     )
 
 

@@ -1,10 +1,16 @@
-"""Kernel selection, decoded-trace views, and the fast-access fallback."""
+"""Kernel selection, decoded windows, caller-owned arrays, and the
+fast-access fallback."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.common.types import AccessType
+import math
+
+import numpy as np
+
+from repro.common.addr import Region
+from repro.common.types import AccessType, LineClass
 from repro.schemes.factory import make_scheme
 from repro.schemes.snuca import SNucaScheme
 from repro.sim.kernel import (
@@ -19,6 +25,8 @@ from repro.sim.kernel import (
 from repro.sim.simulator import simulate
 from repro.testing.differential import assert_stats_equal
 from repro.workloads.benchmarks import build_trace, get_profile
+from repro.workloads.streaming import ArraySegmentSource
+from repro.workloads.trace import CoreTrace, DecodedTrace, TraceSet
 
 
 @pytest.fixture(scope="module")
@@ -70,28 +78,106 @@ class TestKernelResolution:
             simulate(make_scheme("S-NUCA", config), traces, kernel="turbo")
 
 
-class TestDecodedTraces:
-    def test_decoded_is_cached(self, traces_small):
-        _config, traces = traces_small
-        trace = traces.cores[0]
-        assert trace.decoded() is trace.decoded()
+def _decode(trace):
+    return DecodedTrace(trace.types, trace.lines, trace.gaps)
 
+
+class TestDecodedTraces:
     def test_decoded_contents_match_arrays(self, traces_small):
         _config, traces = traces_small
         trace = traces.cores[0]
-        decoded = trace.decoded()
+        decoded = _decode(trace)
         assert decoded.length == len(trace)
         assert decoded.lines == [int(line) for line in trace.lines]
         assert all(isinstance(atype, AccessType) for atype in decoded.atypes)
         assert [int(a) for a in decoded.atypes] == list(trace.types)
+        assert decoded.gaps == [int(gap) for gap in trace.gaps]
+        assert all(type(gap) is int for gap in decoded.gaps)
 
     def test_compute_cycles_exclude_barrier_gaps(self, traces_small):
         _config, traces = traces_small
         for trace in traces.cores:
             non_barrier = trace.types != AccessType.BARRIER
-            assert trace.decoded().compute_cycles == float(
+            assert _decode(trace).compute_cycles == float(
                 trace.gaps[non_barrier].sum()
             )
+
+    def test_fast_kernel_windows_a_trace_set(self, traces_small, monkeypatch):
+        """A materialized set reaches the fast kernel in bounded windows:
+        exactly ceil(len / chunk) non-empty pulls per core."""
+        config, traces = traces_small
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", "97")
+        windows = [0] * traces.num_cores
+        pull = ArraySegmentSource.pull
+
+        def counting_pull(self, core):
+            chunk = pull(self, core)
+            if chunk is not None:
+                assert len(chunk[0]) <= 97
+                windows[core] += 1
+            return chunk
+
+        monkeypatch.setattr(ArraySegmentSource, "pull", counting_pull)
+        simulate(make_scheme("RT-3", config), traces, kernel="fast")
+        assert windows == [math.ceil(len(trace) / 97) for trace in traces.cores]
+        assert max(windows) > 1
+
+
+def _read_only_set() -> TraceSet:
+    """A four-core set over read-only buffers (as ``np.frombuffer`` of
+    ``bytes`` makes)."""
+    cores = []
+    for core in range(4):
+        n = 30
+        types = np.full(n, int(AccessType.READ), dtype=np.uint8)
+        types[n // 2] = int(AccessType.BARRIER)
+        lines = (np.arange(n, dtype=np.int64) % 12) + 64 * core
+        gaps = np.full(n, core + 1, dtype=np.uint16)
+        cores.append(CoreTrace(
+            types=np.frombuffer(types.tobytes(), dtype=np.uint8),
+            lines=np.frombuffer(lines.tobytes(), dtype=np.int64),
+            gaps=np.frombuffer(gaps.tobytes(), dtype=np.uint16),
+        ))
+    return TraceSet("read-only", cores, [(Region(0, 4096), LineClass.SHARED_RW)])
+
+
+class TestCallerArrays:
+    """simulate() only reads the set: it neither freezes nor thaws the
+    caller's arrays."""
+
+    def test_writable_arrays_stay_writable(self, traces_small):
+        config, traces = traces_small
+        for kernel in ("fast", "reference"):
+            simulate(make_scheme("RT-3", config), traces, kernel=kernel)
+            for trace in traces.cores:
+                for array in (trace.types, trace.lines, trace.gaps):
+                    assert array.flags.writeable, kernel
+        gaps = traces.cores[0].gaps
+        saved = int(gaps[0])
+        gaps[0] = 3
+        gaps[0] = saved
+
+    def test_read_only_arrays_simulate_twice(self, monkeypatch):
+        from repro.common.params import MachineConfig
+        from repro.experiments import runner
+        from repro.experiments.runner import ExperimentSetup
+        from repro.experiments.spec import ExperimentSpec, RunPoint, execute_spec
+
+        config = MachineConfig.tiny()
+        traces = _read_only_set()
+        expected = simulate(make_scheme("RT-3", config), traces, kernel="reference")
+        for kernel in ("fast", "reference", "fast", "reference"):
+            got = simulate(make_scheme("RT-3", config), traces, kernel=kernel)
+            assert_stats_equal(expected, got, context=kernel)
+        # The experiment executor runs it too (and leaves the flags alone).
+        monkeypatch.setattr(runner, "build_trace", lambda *args: traces)
+        setup = ExperimentSetup(config)
+        for kernel in ("fast", "reference"):
+            point = RunPoint("RT-3", "DEDUP", kernel=kernel)
+            results = execute_spec(ExperimentSpec("read-only", (point,)), setup)
+            assert_stats_equal(expected, results.result_for(point).stats, context=kernel)
+        assert not traces.cores[0].gaps.flags.writeable
+
 
 class TestFractionalGaps:
     @pytest.mark.parametrize("kernel", ["fast"])
@@ -99,13 +185,7 @@ class TestFractionalGaps:
         """Non-integer gaps disable per-window Compute charging; the fast
         kernel must match the reference's per-record accumulation order
         exactly."""
-        import numpy as np
-
         from repro.common.params import MachineConfig
-        from repro.schemes.snuca import SNucaScheme
-        from repro.workloads.trace import CoreTrace, TraceSet
-        from repro.common.addr import Region
-        from repro.common.types import AccessType, LineClass
 
         config = MachineConfig.tiny()
         rng = np.random.default_rng(7)
@@ -122,24 +202,11 @@ class TestFractionalGaps:
         traces = TraceSet(
             "fractional", cores, [(Region(0, 4096), LineClass.SHARED_RW)]
         )
-        assert not traces.decoded()[0].gaps_integral
+        assert not traces.gaps_integral
         baseline = simulate(SNucaScheme(config), traces, kernel="reference")
         candidate = simulate(SNucaScheme(config), traces, kernel=kernel)
         assert_stats_equal(baseline, candidate, context=f"fractional gaps {kernel}")
 
-    def test_release_decoded_drops_cache(self, traces_small):
-        _config, traces = traces_small
-        first = traces.cores[0].decoded()
-        assert traces.cores[0].decoded() is first
-        # Caching freezes the arrays: silent mutation would desync the view.
-        assert not traces.cores[0].gaps.flags.writeable
-        with pytest.raises((ValueError, RuntimeError)):
-            traces.cores[0].gaps[0] = 1
-        traces.release_decoded()
-        assert traces.cores[0].gaps.flags.writeable
-        rebuilt = traces.cores[0].decoded()
-        assert rebuilt is not first
-        assert rebuilt.lines == first.lines
 
 
 class TestFastAccessSpecialization:
@@ -218,12 +285,7 @@ class TestFastAccessSpecialization:
     def test_fast_kernel_inline_finish_and_empty_cores(self):
         """A core whose whole trace runs inline (empty heap at the end)
         finishes inline; empty traces finish at t=0."""
-        import numpy as np
-
         from repro.common.params import MachineConfig
-        from repro.workloads.trace import CoreTrace, TraceSet
-        from repro.common.addr import Region
-        from repro.common.types import LineClass
 
         config = MachineConfig.tiny()
         cores = []

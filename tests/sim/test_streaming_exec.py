@@ -1,10 +1,12 @@
-"""Streamed vs materialized traces on real scheme engines.
+"""Windowed vs whole-trace execution on real scheme engines.
 
-The unit-level chunk-boundary cases live in
-``tests/workloads/test_streaming.py``; here full machines (caches,
-mesh, DRAM, replication) run real benchmark traces both ways and must
-produce bit-identical stats — the tier-1 counterpart of the CI
-``streaming-smoke`` giga-trace check.
+The fast kernel pulls every set — materialized or streamed — in
+``REPRO_STREAM_CHUNK``-record windows, while the reference kernel
+indexes whole traces.  Here full machines (caches, mesh, DRAM,
+replication) run real benchmark traces at several chunk sizes and must
+produce bit-identical stats; the unit-level chunk-boundary cases live in
+``tests/workloads/test_streaming.py``, and the CI ``streaming-smoke``
+job is the giga-trace counterpart.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import pytest
 from repro.schemes.factory import make_scheme
 from repro.sim.kernel import FastKernel
 from repro.sim.simulator import simulate
-from repro.testing.differential import verify_streaming
+from repro.testing.differential import verify_kernels
 from repro.workloads.benchmarks import build_trace, get_profile
 from repro.workloads.streaming import StreamingTraceSet
+
+from tests.helpers import streamed_view
 
 KERNELS = ("reference", "fast")
 
@@ -34,32 +38,30 @@ def trace_and_config():
 
 class TestStreamedEqualsMaterialized:
     @pytest.mark.parametrize("scheme", ["S-NUCA", "R-NUCA", "VR", "RT-3"])
-    def test_schemes_bit_identical(self, trace_and_config, scheme):
+    def test_schemes_bit_identical(self, trace_and_config, scheme, monkeypatch):
         traces, config = trace_and_config
-        verify_streaming(
-            lambda: make_scheme(scheme, config),
-            traces,
-            chunk_records=193,
-            context=scheme,
-        )
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", "193")
+        verify_kernels(lambda: make_scheme(scheme, config), traces, context=scheme)
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_every_kernel_across_chunk_sizes(self, trace_and_config, kernel):
+    def test_every_kernel_across_chunk_sizes(
+        self, trace_and_config, kernel, monkeypatch
+    ):
         traces, config = trace_and_config
         expected = simulate(
-            make_scheme("RT-3", config), traces, kernel=kernel
+            make_scheme("RT-3", config), traces, kernel="reference"
         ).to_dict()
-        for chunk in (1, 97, 1 << 20):
-            streamed = StreamingTraceSet.from_trace_set(traces, chunk)
+        for chunk in (1, 97, 151, 1 << 20):
+            monkeypatch.setenv("REPRO_STREAM_CHUNK", str(chunk))
             got = simulate(
-                make_scheme("RT-3", config), streamed, kernel=kernel
+                make_scheme("RT-3", config), traces, kernel=kernel
             ).to_dict()
             assert got == expected, (kernel, chunk)
 
-    def test_fractional_gaps_bit_identical(self, trace_and_config):
+    def test_fractional_gaps_bit_identical(self, trace_and_config, monkeypatch):
         """Fractional gaps take the window loop's per-record Compute
-        branch: every chunk size must match materialized reference, also
-        with the equal-time pushes perturbed."""
+        branch: windowed runs must match the reference, also with the
+        equal-time pushes perturbed."""
         traces, config = trace_and_config
         rng = np.random.default_rng(2)
         cores = [
@@ -71,17 +73,16 @@ class TestStreamedEqualsMaterialized:
             for trace in traces.cores
         ]
         frac = dataclasses.replace(traces, cores=cores)
+        assert not frac.gaps_integral
         expected = simulate(
             make_scheme("RT-3", config), frac, kernel="reference"
         ).to_dict()
-        for chunk in (1, 97, 151, 1 << 20):
-            streamed = StreamingTraceSet.from_trace_set(frac, chunk_records=chunk)
-            assert not streamed.gaps_integral
-            for kernel in (*KERNELS, FastKernel(perturb_seed=11)):
-                got = simulate(
-                    make_scheme("RT-3", config), streamed, kernel=kernel
-                ).to_dict()
-                assert got == expected, (chunk, kernel)
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", "151")
+        for kernel in (*KERNELS, FastKernel(perturb_seed=11)):
+            got = simulate(
+                make_scheme("RT-3", config), frac, kernel=kernel
+            ).to_dict()
+            assert got == expected, kernel
 
     def test_chunk_env_knob_drives_the_default(
         self, trace_and_config, monkeypatch
@@ -89,8 +90,8 @@ class TestStreamedEqualsMaterialized:
         traces, config = trace_and_config
         expected = simulate(make_scheme("RT-3", config), traces).to_dict()
         monkeypatch.setenv("REPRO_STREAM_CHUNK", "61")
-        streamed = StreamingTraceSet.from_trace_set(traces)
-        got = simulate(make_scheme("RT-3", config), streamed).to_dict()
+        assert traces.open_source().chunk_records == 61
+        got = simulate(make_scheme("RT-3", config), traces).to_dict()
         assert got == expected
 
     def test_kernel_env_applies_to_streaming(
@@ -99,7 +100,7 @@ class TestStreamedEqualsMaterialized:
         traces, config = trace_and_config
         monkeypatch.setenv("REPRO_SIM_KERNEL", "reference")
         expected = simulate(make_scheme("RT-3", config), traces).to_dict()
-        streamed = StreamingTraceSet.from_trace_set(traces, 89)
+        streamed = streamed_view(traces, 89)
         got = simulate(make_scheme("RT-3", config), streamed).to_dict()
         assert got == expected
 
@@ -131,7 +132,6 @@ class TestDirectCaptureStreaming:
 
     def test_window_coverage_violation_caught(self, trace_and_config):
         traces, config = trace_and_config
-        streamed = StreamingTraceSet.from_trace_set(traces, 128)
-        streamed = dataclasses.replace(streamed, regions=traces.regions[:1])
+        streamed = streamed_view(traces, 128, regions=traces.regions[:1])
         with pytest.raises(ValueError, match="no region"):
             simulate(make_scheme("RT-3", config), streamed)

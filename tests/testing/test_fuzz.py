@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.common.params import MachineConfig
@@ -64,8 +65,10 @@ class TestCaseDerivation:
         assert fractional_cases
         for case in fractional_cases[:3]:
             traces = fuzz.build_case_traces(case, MachineConfig.tiny())
+            assert not traces.gaps_integral
             assert all(
-                not decoded.gaps_integral for decoded in traces.decoded()
+                not np.all(trace.gaps == np.floor(trace.gaps))
+                for trace in traces.cores
             )
 
 

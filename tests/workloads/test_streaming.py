@@ -9,17 +9,15 @@ import pytest
 from repro.common.types import AccessType
 from repro.sim.simulator import simulate
 from repro.workloads.streaming import (
+    DEFAULT_QUEUE_DEPTH,
     ArraySegmentSource,
     CaptureSegmentSource,
     SegmentProducer,
     StreamingTraceSet,
-    iter_segments,
     stream_chunk_records,
-    stream_queue_depth,
-    stream_threshold_bytes,
 )
 
-from tests.helpers import FixedLatencyEngine, records_trace_set
+from tests.helpers import FixedLatencyEngine, records_trace_set, streamed_view
 
 R, W, B = AccessType.READ, AccessType.WRITE, AccessType.BARRIER
 
@@ -44,56 +42,11 @@ class TestKnobs:
         with pytest.raises(ValueError):
             stream_chunk_records(0)
 
-    def test_queue_depth_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_QUEUE", "5")
-        assert stream_queue_depth() == 5
-        monkeypatch.setenv("REPRO_STREAM_QUEUE", "0")
-        with pytest.raises(ValueError):
-            stream_queue_depth()
-
-    def test_threshold_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM_THRESHOLD", "-1")
-        assert stream_threshold_bytes() == -1
-        monkeypatch.delenv("REPRO_STREAM_THRESHOLD")
-        assert stream_threshold_bytes() == 64 * 1024 * 1024
-
-
-class TestIterSegments:
-    def test_covers_every_record_exactly_once(self):
-        traces = records_trace_set([
-            [(R, i, 0) for i in range(10)],
-            [(W, 100 + i, 0) for i in range(7)],
-        ])
-        segments = list(iter_segments(traces, chunk_records=4))
-        assert [seg.index for seg in segments] == [0, 1, 2]
-        assert segments[-1].last and not segments[0].last
-        for core, trace in enumerate(traces.cores):
-            lines = [
-                line
-                for seg in segments
-                for line in seg.decoded[core].lines
-            ]
-            assert lines == list(trace.lines)
-
-    def test_offsets_are_the_handoff_state(self):
-        traces = records_trace_set([[(R, i, 0) for i in range(5)]])
-        segments = list(iter_segments(traces, chunk_records=2))
-        assert [(s.start, s.stop) for s in segments] == [
-            ((0,), (2,)), ((2,), (4,)), ((4,), (5,)),
-        ]
-
-    def test_exhausted_core_gets_empty_windows(self):
-        traces = records_trace_set([
-            [(R, 1, 0)],
-            [(R, 2, 0), (R, 3, 0), (R, 4, 0)],
-        ])
-        segments = list(iter_segments(traces, chunk_records=1))
-        assert [seg.decoded[0].length for seg in segments] == [1, 0, 0]
-        assert [seg.decoded[1].length for seg in segments] == [1, 1, 1]
-
-    def test_trace_set_segments_method(self):
-        traces = records_trace_set([[(R, 1, 0), (R, 2, 0)]])
-        assert sum(seg.decoded[0].length for seg in traces.segments(1)) == 2
+    def test_queue_depth_is_a_constant(self, monkeypatch):
+        monkeypatch.setenv("REPRO_STREAM_QUEUE", "5")  # no longer read
+        producer = SegmentProducer(iter([]))
+        assert producer._queue.maxsize == DEFAULT_QUEUE_DEPTH == 2
+        producer.close()
 
 
 class TestArraySegmentSource:
@@ -214,8 +167,8 @@ class TestStreamingTraceSet:
             [(R, 1, 0), (B, 0, 0), (W, 2, 0)],
             [(R, 3, 0), (B, 0, 0), (W, 4, 0)],
         ])
-        streamed = StreamingTraceSet.from_trace_set(traces, chunk_records=2)
-        assert streamed.is_streaming
+        streamed = streamed_view(traces, chunk_records=2)
+        assert streamed.is_streaming and not traces.is_streaming
         assert streamed.num_cores == traces.num_cores
         assert streamed.total_accesses() == traces.total_accesses()
         assert streamed.total_barriers == 1
@@ -224,84 +177,83 @@ class TestStreamingTraceSet:
         with pytest.raises(KeyError):
             streamed.classify(1 << 20)
         streamed.validate_coverage()
-        streamed.release_decoded()
 
     def test_gaps_integral_reflects_the_arrays(self):
         import dataclasses
 
         traces = records_trace_set([[(R, 1, 2)]])
-        assert StreamingTraceSet.from_trace_set(traces).gaps_integral
+        assert traces.gaps_integral
         frac = dataclasses.replace(
             traces,
             cores=[dataclasses.replace(
                 traces.cores[0], gaps=np.array([0.5])
             )],
         )
-        assert not StreamingTraceSet.from_trace_set(frac).gaps_integral
+        assert not frac.gaps_integral
 
     def test_reopenable_across_runs(self):
         traces = records_trace_set([[(R, i, 1) for i in range(6)]])
-        streamed = StreamingTraceSet.from_trace_set(traces, chunk_records=2)
+        streamed = streamed_view(traces, chunk_records=2)
         first = simulate(FixedLatencyEngine(1), streamed).to_dict()
         second = simulate(FixedLatencyEngine(1), streamed).to_dict()
         assert first == second
 
 
-def _verify_boundary(per_core, chunk_records, num_cores=None):
-    """Both kernels, streamed at ``chunk_records``, must be
-    bit-identical (stats *and* engine call log) to materialized."""
+def _verify_boundary(per_core, chunk_records, monkeypatch):
+    """The fast kernel, pulling the set in ``chunk_records`` windows,
+    must be bit-identical (stats *and* engine call log) to the reference
+    kernel, which indexes whole traces."""
     traces = records_trace_set(per_core)
-    num_cores = num_cores or traces.num_cores
-    streamed = StreamingTraceSet.from_trace_set(traces, chunk_records)
-    for kernel in ("reference", "fast"):
-        materialized = FixedLatencyEngine(num_cores)
-        expected = simulate(materialized, traces, kernel=kernel).to_dict()
-        engine = FixedLatencyEngine(num_cores)
-        got = simulate(engine, streamed, kernel=kernel).to_dict()
-        assert got == expected, kernel
-        assert engine.calls == materialized.calls, kernel
+    num_cores = traces.num_cores
+    reference = FixedLatencyEngine(num_cores)
+    expected = simulate(reference, traces, kernel="reference").to_dict()
+    monkeypatch.setenv("REPRO_STREAM_CHUNK", str(chunk_records))
+    engine = FixedLatencyEngine(num_cores)
+    got = simulate(engine, traces, kernel="fast").to_dict()
+    assert got == expected
+    assert engine.calls == reference.calls
 
 
 class TestChunkBoundaryHandoff:
-    """The satellite cases: every chunk-edge shape stays bit-identical."""
+    """Every chunk-edge shape of a materialized set stays bit-identical."""
 
-    def test_run_spanning_chunk_edge(self):
+    def test_run_spanning_chunk_edge(self, monkeypatch):
         # 10 same-line hits per core: a single L1-hit run that a chunk
         # of 3 splits mid-run three times.
         per_core = [
             [(R, 1 + core, 1) for _ in range(10)] for core in range(2)
         ]
-        _verify_boundary(per_core, chunk_records=3)
+        _verify_boundary(per_core, 3, monkeypatch)
 
-    def test_barrier_exactly_on_chunk_edge(self):
+    def test_barrier_exactly_on_chunk_edge(self, monkeypatch):
         per_core = [
             [(R, 1, 1), (R, 2, 1), (B, 0, 0), (R, 3, 1), (R, 4, 1)],
             [(W, 5, 2), (W, 6, 2), (B, 0, 0), (W, 7, 2), (W, 8, 2)],
         ]
         # chunk=3 puts the barrier at each first window's last record.
-        _verify_boundary(per_core, chunk_records=3)
+        _verify_boundary(per_core, 3, monkeypatch)
 
-    def test_barrier_first_record_of_chunk(self):
+    def test_barrier_first_record_of_chunk(self, monkeypatch):
         per_core = [
             [(R, 1, 1), (R, 2, 1), (B, 0, 0), (R, 3, 1)],
             [(W, 5, 9), (W, 6, 9), (B, 0, 0), (W, 7, 9)],
         ]
-        _verify_boundary(per_core, chunk_records=2)
+        _verify_boundary(per_core, 2, monkeypatch)
 
-    def test_empty_core(self):
+    def test_empty_core(self, monkeypatch):
         per_core = [
             [(R, 1, 1), (R, 2, 1), (R, 3, 1)],
             [],
         ]
-        _verify_boundary(per_core, chunk_records=2)
+        _verify_boundary(per_core, 2, monkeypatch)
 
-    def test_single_record_final_chunk(self):
+    def test_single_record_final_chunk(self, monkeypatch):
         per_core = [[(R, i, 1) for i in range(7)]]
-        _verify_boundary(per_core, chunk_records=3)
+        _verify_boundary(per_core, 3, monkeypatch)
 
-    def test_chunk_of_one(self):
+    def test_chunk_of_one(self, monkeypatch):
         per_core = [
             [(R, 1, 1), (B, 0, 0), (W, 2, 3)],
             [(W, 9, 4), (B, 0, 0), (R, 8, 0)],
         ]
-        _verify_boundary(per_core, chunk_records=1)
+        _verify_boundary(per_core, 1, monkeypatch)

@@ -72,43 +72,12 @@ class TestTraceSet:
                 [(Region(0, 100), LineClass.PRIVATE)],
             )
 
-
-class TestLazyDecodedViews:
-    """The boxed hot-loop views must materialize on demand, not eagerly:
-    a streamed window only ever touches the columns its kernel reads."""
-
-    def test_construction_boxes_nothing(self):
-        decoded = _core_trace(6, barrier_positions=(2,)).decoded()
-        assert decoded._atypes is None
-        assert decoded._lines is None
-        assert decoded._gaps is None
-
-    def test_summary_fields_eager_and_correct(self):
+    def test_gaps_integral_follows_in_place_writes(self):
         trace = CoreTrace(
-            np.array([AccessType.READ, AccessType.BARRIER, AccessType.WRITE],
-                     dtype=np.uint8),
-            np.array([4, 0, 5], dtype=np.int64),
-            np.array([2, 7, 3], dtype=np.uint16),
+            np.zeros(2, dtype=np.uint8), np.arange(2, dtype=np.int64),
+            np.array([1.0, 2.0]),
         )
-        decoded = trace.decoded()
-        assert decoded.length == 3
-        assert decoded.compute_cycles == 5.0  # barrier gap excluded
-        assert decoded.gaps_integral
-
-    def test_views_cache_on_first_use(self):
-        decoded = _core_trace(4).decoded()
-        atypes = decoded.atypes
-        assert decoded._atypes is atypes
-        assert decoded.atypes is atypes
-        assert all(atype is AccessType.READ for atype in atypes)
-        assert decoded.lines == [0, 1, 2, 3]
-        assert decoded.gaps == [0.0] * 4
-        assert isinstance(decoded.gaps[0], float)
-
-    def test_release_drops_the_boxed_views(self):
-        trace = _core_trace(4)
-        decoded = trace.decoded()
-        decoded.atypes, decoded.lines, decoded.gaps  # noqa: B018 - force boxing
-        trace.release_decoded()
-        fresh = trace.decoded()
-        assert fresh._atypes is None
+        traces = TraceSet("t", [trace], [(Region(0, 10), LineClass.PRIVATE)])
+        assert traces.gaps_integral
+        trace.gaps[1] = 2.5
+        assert not traces.gaps_integral

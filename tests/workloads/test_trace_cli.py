@@ -141,20 +141,26 @@ class TestSimulate:
         assert streamed["max_rss_kib"] > 0
         assert streamed["completion_time"] == materialized["completion_time"]
 
-    def test_archive_path_and_chunk_knob(self, tmp_path, capsys):
+    def test_archive_path_and_chunk_knob(self, tmp_path, capsys, monkeypatch):
         capture = self._capture(tmp_path)
         npz = tmp_path / "cap.npz"
         main(["trace", "import", str(capture), "--cores", "4",
               "--out", str(npz)])
         capsys.readouterr()
-        assert main([
-            "trace", "simulate", str(npz), "--stream", "--chunk", "16",
-            "--json",
-        ]) == 0
-        streamed = self._json_line(capsys)
+        monkeypatch.setenv("REPRO_STREAM_CHUNK", "16")
+        assert main(["trace", "simulate", str(npz), "--json"]) == 0
+        windowed = self._json_line(capsys)
+        monkeypatch.delenv("REPRO_STREAM_CHUNK")
         assert main(["trace", "simulate", str(npz), "--json"]) == 0
         plain = self._json_line(capsys)
-        assert streamed["stats_sha256"] == plain["stats_sha256"]
+        assert not windowed["streamed"] and not plain["streamed"]
+        assert windowed["stats_sha256"] == plain["stats_sha256"]
+
+    @pytest.mark.parametrize("flags", [["--stream"], ["--chunk", "16"]])
+    def test_retired_window_flags_are_rejected(self, tmp_path, flags):
+        capture = self._capture(tmp_path, records=40)
+        with pytest.raises(SystemExit):
+            main(["trace", "simulate", str(capture), *flags])
 
     def test_kernel_and_scheme_options(self, tmp_path, capsys):
         capture = self._capture(tmp_path, records=40)
