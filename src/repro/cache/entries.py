@@ -5,7 +5,8 @@ An LLC slice holds two kinds of entries (Section 2.2):
 * :class:`HomeEntry` — the *home* copy of a line, with the in-cache
   directory state attached (sharer tracking + locality classifier).
 * :class:`ReplicaEntry` — a locality-aware *replica* in the requesting
-  core's local slice, carrying the replica-reuse saturating counter.
+  core's local slice, carrying the replica-reuse counter as a plain int
+  slot that saturates at its ``reuse_max`` slot.
 
 The replacement policy queries :attr:`CacheLine.l1_copies` so the paper's
 modified-LRU (Section 2.2.4: evict lines with the fewest L1 copies first)
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.common.counters import SaturatingCounter
 from repro.common.types import MESIState
 
 
@@ -81,13 +81,15 @@ class HomeEntry(CacheLine):
 class ReplicaEntry(CacheLine):
     """A locality-aware replica in a core's local LLC slice.
 
-    ``reuse`` is the Replica Reuse saturating counter of Figure 4 — it is
-    initialized to 1 on creation and incremented on every replica hit.
-    ``l1_copy`` tracks whether the slice-owning core's L1 currently holds
-    the line (used by modified-LRU and by eviction back-invalidation).
+    ``reuse`` is the Replica Reuse counter of Figure 4, a plain int slot:
+    it is initialized to 1 on creation and incremented on every replica
+    hit until it saturates at ``reuse_max`` (the schemes' hit paths do the
+    saturating add inline).  ``l1_copy`` tracks whether the slice-owning
+    core's L1 currently holds the line (used by modified-LRU and by
+    eviction back-invalidation).
     """
 
-    __slots__ = ("reuse", "l1_copy")
+    __slots__ = ("reuse", "reuse_max", "l1_copy")
 
     def __init__(
         self,
@@ -95,8 +97,13 @@ class ReplicaEntry(CacheLine):
         state: MESIState,
         reuse_max: int,
     ) -> None:
-        super().__init__(line_addr, state)
-        self.reuse = SaturatingCounter(reuse_max, initial=1)
+        # CacheLine's fields, set inline: VR places a replica per L1 eviction.
+        self.line_addr = line_addr
+        self.state = state
+        self.dirty = False
+        self.last_use = 0
+        self.reuse = 1
+        self.reuse_max = reuse_max
         self.l1_copy = False
 
     @property

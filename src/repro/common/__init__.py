@@ -1,7 +1,6 @@
 """Shared configuration, types and helpers for the reproduction."""
 
 from repro.common.addr import Region, RegionAllocator
-from repro.common.counters import SaturatingCounter
 from repro.common.params import CacheGeometry, MachineConfig
 from repro.common.types import (
     AccessType,
@@ -21,5 +20,4 @@ __all__ = [
     "Region",
     "RegionAllocator",
     "ReplicationMode",
-    "SaturatingCounter",
 ]

@@ -21,9 +21,8 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cache.entries import HomeEntry, L1Line, ReplicaEntry
-from repro.common.types import MESIState
 from repro.energy import model as energy_events
-from repro.schemes.base import LocalHit, ProtocolEngine
+from repro.schemes.base import MODIFIED, SHARED, LocalHit, ProtocolEngine
 
 
 class ASRScheme(ProtocolEngine):
@@ -76,17 +75,18 @@ class ASRScheme(ProtocolEngine):
         self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
     ) -> tuple[Optional[LocalHit], float]:
         llc = self.slices[core]
-        self.stats.energy_event(energy_events.LLC_TAG_READ)
-        probe_cost = float(self.config.llc_tag_latency)
+        energy_counts = self._energy_counts
+        energy_counts[energy_events.LLC_TAG_READ] += 1
         replica = llc.replica(line_addr)
         if replica is None or write:
             # ASR replicas are S-state (read-only data); writes go home.
-            return None, probe_cost
-        replica.reuse.increment()
+            return None, self._llc_tag_latency
+        if replica.reuse < replica.reuse_max:
+            replica.reuse += 1
         replica.l1_copy = True
         llc.touch(replica)
-        self.stats.energy_event(energy_events.LLC_DATA_READ)
-        return LocalHit(float(self.config.llc_data_latency), MESIState.SHARED), probe_cost
+        energy_counts[energy_events.LLC_DATA_READ] += 1
+        return (self._llc_data_latency, SHARED, False), self._llc_tag_latency
 
     # ------------------------------------------------------------------
     # L1 evictions: probabilistic shared-RO replication
@@ -94,23 +94,22 @@ class ASRScheme(ProtocolEngine):
     def handle_l1_eviction(self, core: int, victim: L1Line, is_ifetch: bool, now: float) -> None:
         line_addr = victim.line_addr
         home = self._home_of_cached_line(core, line_addr, is_ifetch)
-        dirty = victim.dirty or victim.state == MESIState.MODIFIED
+        dirty = victim.dirty or victim.state == MODIFIED
         if (
             home != core
             and not dirty
             and self.is_shared_readonly(line_addr)
             and self._replicate_now(line_addr, core)
-            and self.slices[core].replica(line_addr) is None
-            and self.slices[core].home(line_addr) is None
+            and self.slices[core].lookup(line_addr) is None  # no replica, no home
         ):
             self._make_room(core, line_addr, now)
-            replica = ReplicaEntry(line_addr, MESIState.SHARED, self.config.reuse_counter_max)
-            self.slices[core].insert(replica)
-            self.stats.energy_event(energy_events.LLC_TAG_WRITE)
-            self.stats.energy_event(energy_events.LLC_DATA_WRITE)
-            self.stats.bump("asr_placements")
+            self.slices[core].insert(ReplicaEntry(line_addr, SHARED, self.reuse_max))
+            energy_counts = self._energy_counts
+            energy_counts[energy_events.LLC_TAG_WRITE] += 1
+            energy_counts[energy_events.LLC_DATA_WRITE] += 1
+            self._counters["asr_placements"] += 1
             return  # the core keeps a copy: it remains a sharer at the home
-        self._notify_home_of_l1_eviction(core, victim, is_ifetch, now)
+        super().handle_l1_eviction(core, victim, is_ifetch, now)
 
     def _replicate_now(self, line_addr: int, core: int) -> bool:
         """Deterministic pseudo-random draw against the replication level."""

@@ -12,7 +12,8 @@ exposes exactly those four decisions as overridable hooks:
 
 * :meth:`local_lookup` — L1-miss-time probe for a nearby replica;
 * :meth:`should_replicate` / :meth:`create_replica` — fill-time policy;
-* :meth:`handle_l1_eviction` — what happens to L1 victims;
+* :meth:`handle_l1_eviction` — what happens to L1 victims (by default
+  they merge into a local replica or are acknowledged to the home);
 * :meth:`invalidate_local_copies` — what an invalidation must probe.
 
 Timing follows Section 3.4: every L1-miss latency is decomposed into the
@@ -66,13 +67,10 @@ class AccessResult:
     dirty: bool = False
 
 
-@dataclasses.dataclass(slots=True)
-class LocalHit:
-    """Outcome of a successful local (replica) lookup."""
-
-    latency: float
-    state: MESIState
-    dirty: bool = False
+#: A local replica hit as :meth:`ProtocolEngine.local_lookup` returns it:
+#: ``(latency, granted_state, dirty)``, a plain tuple so that serving a
+#: hit constructs no object.
+LocalHit = tuple[float, MESIState, bool]
 
 
 class ProtocolObserver:
@@ -128,6 +126,11 @@ class ProtocolEngine:
         self._active_home: dict[int, int] = {}
         self._control_flits = self.mesh.control_flits()
         self._data_flits = self.mesh.data_flits()
+        #: Saturation value of replica reuse counters (``ReplicaEntry.reuse``).
+        self.reuse_max = config.reuse_counter_max
+        # Bound once so the replica-hit path converts nothing per hit.
+        self._llc_tag_latency = float(config.llc_tag_latency)
+        self._llc_data_latency = float(config.llc_data_latency)
 
     # ------------------------------------------------------------------
     # Scheme hooks
@@ -145,10 +148,12 @@ class ProtocolEngine:
     ) -> tuple[Optional[LocalHit], float]:
         """Probe for a local replica before going to the home.
 
-        Returns ``(hit, probe_cost)``; ``hit`` is None on a miss and
-        ``probe_cost`` is the critical-path cycles spent probing (charged
-        to the L1→LLC-replica bucket either way).  The base machine has
-        no replicas and skips the probe entirely.
+        Returns ``(hit, probe_cost)``; ``hit`` is None on a miss, else a
+        :data:`LocalHit` tuple, and ``probe_cost`` is the critical-path
+        cycles spent probing (charged to the L1→LLC-replica bucket either
+        way).  On a hit the override either marks the replica as backing
+        the new L1 copy (``l1_copy = True``) or removes it.  The base
+        machine has no replicas and skips the probe entirely.
         """
         return None, 0.0
 
@@ -198,10 +203,6 @@ class ProtocolEngine:
                 had_copy = True
                 dirty = dirty or entry.dirty or entry.state == MESIState.MODIFIED
         return had_copy, dirty, None
-
-    def handle_l1_eviction(self, core: int, victim: L1Line, is_ifetch: bool, now: float) -> None:
-        """Dispose of an L1 victim; default sends the home an ack/writeback."""
-        self._notify_home_of_l1_eviction(core, victim, is_ifetch, now)
 
     def evict_slice_entry(self, slice_core: int, entry, now: float) -> None:
         """Evict one LLC slice entry (home or replica) with full protocol."""
@@ -338,10 +339,16 @@ class ProtocolEngine:
             self._counters["llc_replica_hits"] += 1
             if self.observer is not None:
                 self.observer.on_replica_access(core, line_addr, write)
-            return probe_cost + hit.latency, LLC_REPLICA_HIT, hit.state, hit.dirty
+            latency, state, dirty = hit
+            return probe_cost + latency, LLC_REPLICA_HIT, state, dirty
         total, status, grant = self._home_request(
             core, line_addr, write, is_ifetch, now + probe_cost
         )
+        # A replica hit's local_lookup marks its own replica; after a home
+        # fill, a local replica (new or old) backs the L1 copy.
+        replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
+        if replica is not None:
+            replica.l1_copy = True
         return total + probe_cost, status, grant, False
 
     def _home_request(
@@ -656,7 +663,7 @@ class ProtocolEngine:
             self.mesh.send(slice_core, home, flits, t)
         home_entry = self.slices[home].home(line_addr)
         if home_entry is not None:
-            self._classifier_replica_evicted(home_entry, slice_core, entry.reuse.value)
+            self._classifier_replica_evicted(home_entry, slice_core, entry.reuse)
             home_entry.sharers.remove(slice_core)
             if home_entry.owner == slice_core:
                 home_entry.owner = None
@@ -687,18 +694,18 @@ class ProtocolEngine:
             entry.state = MODIFIED
             entry.dirty = True
         self._l1_energy(is_ifetch, read=False)
-        replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
-        if replica is not None:
-            replica.l1_copy = True
         if victim is not None:
             self._counters["l1_evictions"] += 1
             self.handle_l1_eviction(core, victim, is_ifetch, now)
 
-    def _notify_home_of_l1_eviction(
-        self, core: int, victim: L1Line, is_ifetch: bool, now: float
-    ) -> None:
-        """Default L1-victim path: merge into a local replica if one exists,
-        otherwise acknowledge (and write back) to the home (Section 2.2.3)."""
+    def handle_l1_eviction(self, core: int, victim: L1Line, is_ifetch: bool, now: float) -> None:
+        """Dispose of an L1 victim (scheme hook; overrides fall back here).
+
+        The default merges the victim into the core's local replica if one
+        exists (dirty data makes the replica dirty; the core stays a
+        sharer), otherwise sends the home an acknowledgement — a
+        write-back when dirty — and drops the core from the sharers
+        (Section 2.2.3)."""
         line_addr = victim.line_addr
         dirty = victim.dirty or victim.state == MODIFIED
         replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)

@@ -36,7 +36,7 @@ from repro.energy.model import EnergyModel, EnergyParams
 from repro.network.topology import cluster_members, cluster_of
 from repro.placement.base import Placement
 from repro.placement.rnuca import ReactiveNuca
-from repro.schemes.base import LocalHit, ProtocolEngine
+from repro.schemes.base import EXCLUSIVE, MODIFIED, SHARED, LocalHit, ProtocolEngine
 
 
 class LocalityAwareScheme(ProtocolEngine):
@@ -54,9 +54,10 @@ class LocalityAwareScheme(ProtocolEngine):
         oracle_lookup: bool = False,
         shared_only_replicas: bool = False,
     ) -> None:
+        super().__init__(config, observer)
         rt = config.replication_threshold
         #: Counters must be able to reach RT (RT-8 needs >2-bit counters).
-        self.reuse_max = max(config.reuse_counter_max, rt)
+        self.reuse_max = max(self.reuse_max, rt)
         self.classifier = make_classifier(
             config.num_cores, rt, self.reuse_max, config.classifier_k
         )
@@ -66,7 +67,6 @@ class LocalityAwareScheme(ProtocolEngine):
         #: migratory data (interleaved reads and writes) cannot — the
         #: benchmarks with such patterns (LU-NC) lose their benefit.
         self.shared_only_replicas = shared_only_replicas
-        super().__init__(config, observer)
         if config.classifier_organization == "sparse":
             from collections import OrderedDict
             #: Per-slice decoupled classifier side tables (Section 2.3.3).
@@ -152,48 +152,52 @@ class LocalityAwareScheme(ProtocolEngine):
     def local_lookup(
         self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
     ) -> tuple[Optional[LocalHit], float]:
-        slice_id = self.replica_slice_for(core, line_addr)
+        if self._cluster_map is None:
+            slice_id = core
+        else:
+            slice_id = self.replica_slice_for(core, line_addr)
         llc = self.slices[slice_id]
-        if slice_id == core and llc.home(line_addr) is not None:
-            # The local slice holds the *home* entry: the replica probe is
-            # physically the same tag lookup as the home access (in-cache
-            # organization, Section 2.3.3), so it costs nothing extra.
-            return None, 0.0
-        replica = llc.replica(line_addr)
-        if self.oracle_lookup and replica is None:
-            return None, 0.0
-        self.stats.energy_event(energy_events.LLC_TAG_READ)
-        probe_cost = float(self.config.llc_tag_latency)
+        replica = llc.lookup(line_addr)
+        if not isinstance(replica, ReplicaEntry):
+            if replica is not None and slice_id == core:
+                # The local slice holds the *home* entry: the replica probe
+                # is physically the same tag lookup as the home access
+                # (in-cache organization, Section 2.3.3), so it costs
+                # nothing extra.
+                return None, 0.0
+            replica = None
+            if self.oracle_lookup:
+                return None, 0.0
+        energy_counts = self._energy_counts
+        energy_counts[energy_events.LLC_TAG_READ] += 1
+        probe_cost = self._llc_tag_latency
         if slice_id != core:
             # Cluster-level replication: the probe crosses the mesh.
-            probe_cost += self.mesh.unloaded_latency(
-                core, slice_id, self.mesh.control_flits()
-            )
-        if replica is None or (write and not replica.state.writable):
+            probe_cost += self.mesh.unloaded_latency(core, slice_id, self._control_flits)
+        if replica is None or (write and replica.state < EXCLUSIVE):
             if slice_id != core:
-                probe_cost += self.mesh.unloaded_latency(
-                    slice_id, core, self.mesh.control_flits()
-                )
+                probe_cost += self.mesh.unloaded_latency(slice_id, core, self._control_flits)
             return None, probe_cost
-        replica.reuse.increment()
+        if replica.reuse < replica.reuse_max:
+            replica.reuse += 1
         replica.l1_copy = True
         llc.touch(replica)
-        self.stats.energy_event(energy_events.LLC_DATA_READ)
-        latency = float(self.config.llc_data_latency)
+        energy_counts[energy_events.LLC_DATA_READ] += 1
+        latency = self._llc_data_latency
         if slice_id != core:
-            latency += self.mesh.unloaded_latency(slice_id, core, self.mesh.data_flits())
+            latency += self.mesh.unloaded_latency(slice_id, core, self._data_flits)
         if write:
             # A write through an E/M cluster replica must hierarchically
             # invalidate the other members' L1 copies (Section 2.3.4).
             latency += self._hierarchical_invalidation(core, line_addr, slice_id, now)
-            replica.state = MESIState.MODIFIED
+            replica.state = MODIFIED
             replica.dirty = True
-            return LocalHit(latency, MESIState.MODIFIED), probe_cost
+            return (latency, MODIFIED, False), probe_cost
         if self._cluster_map is not None:
             # Member L1s under a shared cluster replica hold S; the replica
             # itself retains cluster-level ownership (E/M).
-            return LocalHit(latency, MESIState.SHARED), probe_cost
-        return LocalHit(latency, replica.state), probe_cost
+            return (latency, SHARED, False), probe_cost
+        return (latency, replica.state, False), probe_cost
 
     def _hierarchical_invalidation(
         self, writer: int, line_addr: int, replica_slice: int, now: float
@@ -242,7 +246,7 @@ class LocalityAwareScheme(ProtocolEngine):
             return  # Section 2.3.1: the simple strategy skips E/M replicas
         slice_id = self.replica_slice_for(core, line_addr)
         llc = self.slices[slice_id]
-        if llc.home(line_addr) is not None or llc.replica(line_addr) is not None:
+        if llc.lookup(line_addr) is not None:  # a home or replica entry already
             return
         self._make_room(slice_id, line_addr, now)
         replica = ReplicaEntry(line_addr, state, self.reuse_max)
@@ -268,7 +272,7 @@ class LocalityAwareScheme(ProtocolEngine):
         if replica is not None:
             had_copy = True
             dirty = dirty or replica.dirty or replica.state == MESIState.MODIFIED
-            reuse = replica.reuse.value
+            reuse = replica.reuse
             llc.remove(line_addr)
             self.stats.bump("replica_invalidations")
             dirty = self._invalidate_replica_children(
@@ -282,7 +286,7 @@ class LocalityAwareScheme(ProtocolEngine):
         if replica is None:
             return False, False, None
         dirty = replica.dirty or replica.state == MESIState.MODIFIED
-        reuse = replica.reuse.value
+        reuse = replica.reuse
         llc.remove(line_addr)
         self.stats.energy_event(energy_events.LLC_TAG_WRITE)
         self.stats.bump("replica_invalidations")

@@ -24,7 +24,7 @@ from repro.cache.entries import HomeEntry, L1Line, ReplicaEntry
 from repro.cache.replacement import BY_RECENCY
 from repro.common.types import MESIState
 from repro.energy import model as energy_events
-from repro.schemes.base import LocalHit, ProtocolEngine
+from repro.schemes.base import EXCLUSIVE, MODIFIED, LocalHit, ProtocolEngine
 
 
 class VictimReplicationScheme(ProtocolEngine):
@@ -39,41 +39,39 @@ class VictimReplicationScheme(ProtocolEngine):
         self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
     ) -> tuple[Optional[LocalHit], float]:
         llc = self.slices[core]
-        self.stats.energy_event(energy_events.LLC_TAG_READ)
-        probe_cost = float(self.config.llc_tag_latency)
+        energy_counts = self._energy_counts
+        energy_counts[energy_events.LLC_TAG_READ] += 1
         replica = llc.replica(line_addr)
         if replica is None:
-            return None, probe_cost
-        if write and not replica.state.writable:
+            return None, self._llc_tag_latency
+        state = replica.state
+        if write and state < EXCLUSIVE:
             # S-state replica cannot satisfy a write; the home's
             # invalidation sweep will collect it.
-            return None, probe_cost
-        self.stats.energy_event(energy_events.LLC_DATA_READ)
+            return None, self._llc_tag_latency
+        energy_counts[energy_events.LLC_DATA_READ] += 1
         llc.remove(line_addr)
-        state = MESIState.MODIFIED if write else replica.state
-        dirty = replica.dirty or replica.state == MESIState.MODIFIED
-        return LocalHit(float(self.config.llc_data_latency), state, dirty), probe_cost
+        dirty = replica.dirty or state == MODIFIED
+        return (self._llc_data_latency, MODIFIED if write else state, dirty), self._llc_tag_latency
 
     # ------------------------------------------------------------------
     # L1 evictions: place victims into the local slice when cheap
     # ------------------------------------------------------------------
     def handle_l1_eviction(self, core: int, victim: L1Line, is_ifetch: bool, now: float) -> None:
         line_addr = victim.line_addr
-        home = self._home_of_cached_line(core, line_addr, is_ifetch)
-        if home == core:
-            self._notify_home_of_l1_eviction(core, victim, is_ifetch, now)
-            return
-        if not self._make_victim_room(core, line_addr, now):
-            self.stats.bump("vr_placement_rejected")
-            self._notify_home_of_l1_eviction(core, victim, is_ifetch, now)
-            return
-        replica = ReplicaEntry(line_addr, victim.state, self.config.reuse_counter_max)
-        replica.dirty = victim.dirty
-        self.slices[core].insert(replica)
-        # VR always writes the victim's data into the slice, clean or not.
-        self.stats.energy_event(energy_events.LLC_TAG_WRITE)
-        self.stats.energy_event(energy_events.LLC_DATA_WRITE)
-        self.stats.bump("vr_placements")
+        if self._home_of_cached_line(core, line_addr, is_ifetch) != core:
+            if self._make_victim_room(core, line_addr, now):
+                replica = ReplicaEntry(line_addr, victim.state, self.reuse_max)
+                replica.dirty = victim.dirty
+                self.slices[core].insert(replica)
+                # VR always writes the victim's data into the slice, clean or not.
+                energy_counts = self._energy_counts
+                energy_counts[energy_events.LLC_TAG_WRITE] += 1
+                energy_counts[energy_events.LLC_DATA_WRITE] += 1
+                self._counters["vr_placements"] += 1
+                return
+            self._counters["vr_placement_rejected"] += 1
+        super().handle_l1_eviction(core, victim, is_ifetch, now)
 
     def _make_victim_room(self, core: int, line_addr: int, now: float) -> bool:
         """Find a VR-eligible way for the victim; True when room was made.

@@ -69,7 +69,7 @@ class TestCounts:
 
     def test_replica_reuse_starts_at_one(self, llc):
         replica = _replica(0)
-        assert replica.reuse.value == 1
+        assert replica.reuse == 1
 
     def test_utilization(self, llc):
         assert llc.utilization() == 0.0

@@ -106,7 +106,7 @@ class TestLocalityInvariants:
         for core in range(4):
             for entry in engine.slices[core]:
                 if isinstance(entry, ReplicaEntry):
-                    assert 1 <= entry.reuse.value <= engine.reuse_max
+                    assert 1 <= entry.reuse <= engine.reuse_max
 
     @given(sequence=traffic)
     @settings(max_examples=50, deadline=None)

@@ -5,8 +5,11 @@ import pytest
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType, MESIState, MissStatus
 from repro.network.mesh import Mesh
+from repro.schemes.asr import ASRScheme
 from repro.schemes.base import ProtocolEngine
+from repro.schemes.locality import LocalityAwareScheme
 from repro.schemes.snuca import SNucaScheme
+from repro.schemes.victim import VictimReplicationScheme
 from tests.helpers import check_coherence, drive, read, write
 
 
@@ -195,12 +198,18 @@ class TestLatencyAccounting:
 
 
 class TestMissPathDispatchTax:
-    """The miss path writes the stats maps directly and reads enum members
-    as module names (a ``MESIState.X`` read goes through
-    ``EnumType.__getattr__``'s slot wrapper on Python 3.11).  This keeps a
-    well-meant cleanup from bringing the slower spellings back."""
+    """The miss path and the replica-hit path write the stats maps directly
+    and read enum members as module names (a ``MESIState.X`` read goes
+    through ``EnumType.__getattr__``'s slot wrapper on Python 3.11, and
+    ``.writable`` is a Python property), and read the reuse bound from the
+    engine rather than the ``MachineConfig.reuse_counter_max`` property.
+    This keeps a well-meant cleanup from bringing the slower spellings
+    back."""
 
-    SLOW_NAMES = {"MESIState", "MissStatus", "bump", "energy_event", "add_latency", "stats"}
+    SLOW_NAMES = {
+        "MESIState", "MissStatus", "bump", "energy_event", "add_latency", "stats",
+        "writable", "reuse_counter_max",
+    }
 
     @pytest.mark.parametrize("function", [
         ProtocolEngine._home_request,
@@ -208,7 +217,12 @@ class TestMissPathDispatchTax:
         ProtocolEngine._service_read,
         ProtocolEngine._fetch_from_dram,
         ProtocolEngine._fill_l1,
-        ProtocolEngine._notify_home_of_l1_eviction,
+        ProtocolEngine.handle_l1_eviction,
+        LocalityAwareScheme.local_lookup,
+        ASRScheme.local_lookup,
+        ASRScheme.handle_l1_eviction,
+        VictimReplicationScheme.local_lookup,
+        VictimReplicationScheme.handle_l1_eviction,
         Mesh.send,
     ], ids=lambda function: function.__qualname__)
     def test_no_slow_lookups(self, function):

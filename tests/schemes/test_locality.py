@@ -86,7 +86,7 @@ class TestReplicaHits:
         drive(engine, [read(0, 101)], start_time=1000.0)
         churn_l1d(engine, 0, 100000, start=2000.0)
         drive(engine, [read(0, 101)], start_time=50000.0)
-        assert find_replica(engine, 0, 101).reuse.value == 2
+        assert find_replica(engine, 0, 101).reuse == 2
 
     def test_replica_hit_faster_than_home(self):
         engine = rt1_engine()
