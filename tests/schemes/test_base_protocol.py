@@ -228,6 +228,13 @@ class TestMissPathDispatchTax:
     def test_no_slow_lookups(self, function):
         assert self.SLOW_NAMES.isdisjoint(function.__code__.co_names)
 
+    def test_fill_does_not_probe_the_slice(self):
+        """A replica hit's local_lookup marks its replica and the home-fill
+        path marks the one behind a home fill, so the L1 fill never
+        re-probes the LLC slice."""
+        names = ProtocolEngine._fill_l1.__code__.co_names
+        assert {"slices", "replica", "replica_slice_for"}.isdisjoint(names)
+
     def test_home_transaction_is_one_frame(self):
         assert not hasattr(ProtocolEngine, "_home_access")
         assert not hasattr(ProtocolEngine, "_resolve_home")
