@@ -26,8 +26,8 @@ class SetAssociativeCache:
     def __init__(self, geometry: CacheGeometry, policy: ReplacementPolicy) -> None:
         self._geometry = geometry
         self._policy = policy
-        #: One dict per set, keyed by line address. Python dicts preserve
-        #: insertion order but LRU ordering uses explicit timestamps.
+        #: One dict per set, keyed by line address. LRU ordering uses
+        #: explicit timestamps (the L1 uses the dicts' order instead).
         self._sets: list[dict[int, CacheLine]] = [{} for _ in range(geometry.sets)]
         self._clock = 0
         #: ``geometry.set_index`` is the specification; the hot methods
@@ -49,12 +49,9 @@ class SetAssociativeCache:
 
     def access(self, line_addr: int) -> Optional[CacheLine]:
         """Return the entry and mark it most recently used."""
-        shift = self._shift
-        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
-        entry = self._sets[index].get(line_addr)
+        entry = self.lookup(line_addr)
         if entry is not None:
-            self._clock += 1
-            entry.last_use = self._clock
+            self.touch(entry)
         return entry
 
     def touch(self, entry: CacheLine) -> None:
@@ -77,12 +74,13 @@ class SetAssociativeCache:
         return self._policy.select_victim(cache_set.values())
 
     def insert(self, entry: CacheLine) -> None:
-        """Insert an entry; the caller must have made room first."""
+        """Insert an entry as the most recently used one (last in its set);
+        the caller must have made room first."""
         line_addr = entry.line_addr
         shift = self._shift
         index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
         cache_set = self._sets[index]
-        if line_addr not in cache_set and len(cache_set) >= self._ways:
+        if cache_set.pop(line_addr, None) is None and len(cache_set) >= self._ways:
             raise RuntimeError(
                 f"inserting line {entry.line_addr:#x} into a full set; "
                 "evict the victim_for() entry first"

@@ -10,7 +10,9 @@ An LLC slice holds two kinds of entries (Section 2.2):
 
 The replacement policy queries :attr:`CacheLine.l1_copies` so the paper's
 modified-LRU (Section 2.2.4: evict lines with the fewest L1 copies first)
-works uniformly over both kinds without knowing which is which.
+works uniformly over both kinds without knowing which is which.  The
+LLC's recency is the ``last_use`` timestamp; the L1's is its sets' dict
+order (:class:`~repro.cache.l1.L1Cache`), which ignores ``last_use``.
 """
 
 from __future__ import annotations
@@ -67,7 +69,11 @@ class HomeEntry(CacheLine):
     __slots__ = ("sharers", "owner", "classifier")
 
     def __init__(self, line_addr: int, sharers, state: MESIState = MESIState.SHARED) -> None:
-        super().__init__(line_addr, state)
+        # CacheLine's fields, set inline: every off-chip fill builds one.
+        self.line_addr = line_addr
+        self.state = state
+        self.dirty = False
+        self.last_use = 0
         self.sharers = sharers
         #: Core holding the line in E/M (exclusive owner), or ``None``.
         self.owner: Optional[int] = None
@@ -75,7 +81,8 @@ class HomeEntry(CacheLine):
 
     @property
     def l1_copies(self) -> int:
-        return self.sharers.count
+        # ``sharers.count`` without its frame: modified-LRU reads this per way.
+        return len(self.sharers._members)
 
 
 class ReplicaEntry(CacheLine):

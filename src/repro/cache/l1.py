@@ -14,16 +14,21 @@ from typing import Optional
 
 from repro.cache.array import SetAssociativeCache
 from repro.cache.entries import L1Line
-from repro.cache.replacement import BY_RECENCY, LRUPolicy
+from repro.cache.replacement import OldestFirstPolicy
 from repro.common.params import CacheGeometry
 from repro.common.types import MESIState
 
+EXCLUSIVE = MESIState.EXCLUSIVE
+
 
 class L1Cache(SetAssociativeCache):
-    """One private L1 cache (instruction or data)."""
+    """One private L1 cache (instruction or data).
+
+    Recency is each set's dict order: every use, inherited methods included,
+    moves the entry to the end, so the victim is the set's first key."""
 
     def __init__(self, geometry: CacheGeometry) -> None:
-        super().__init__(geometry, LRUPolicy())
+        super().__init__(geometry, OldestFirstPolicy())
 
     # -- lookups --------------------------------------------------------------
     def probe_hit(self, line_addr: int, write: bool) -> Optional[L1Line]:
@@ -34,15 +39,19 @@ class L1Cache(SetAssociativeCache):
         directory), matching Section 2.2.2.
         """
         shift = self._shift
-        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
-        entry = self._sets[index].get(line_addr)
+        cache_set = self._sets[
+            (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask]
+        entry = cache_set.pop(line_addr, None)
         if entry is None:
             return None
-        self._clock += 1
-        entry.last_use = self._clock
-        if write and not entry.state.writable:
+        cache_set[line_addr] = entry
+        if write and entry.state < EXCLUSIVE:
             return None
         return entry
+
+    def touch(self, entry: L1Line) -> None:
+        """Mark a resident entry most recently used (move it to the end)."""
+        self.insert(entry)
 
     # -- modification ---------------------------------------------------------
     def fill(self, line_addr: int, state: MESIState) -> tuple[L1Line, Optional[L1Line]]:
@@ -52,21 +61,17 @@ class L1Cache(SetAssociativeCache):
         line becomes the most recently used one.
         """
         shift = self._shift
-        index = (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask
-        cache_set = self._sets[index]
-        self._clock += 1
-        entry = cache_set.get(line_addr)
+        cache_set = self._sets[
+            (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask]
+        entry = cache_set.pop(line_addr, None)
         if entry is not None:
             entry.state = state
-            entry.last_use = self._clock
+            cache_set[line_addr] = entry
             return entry, None
         victim = None
         if len(cache_set) >= self._ways:
-            victim = min(cache_set.values(), key=BY_RECENCY)
-            del cache_set[victim.line_addr]
-        entry = L1Line(line_addr, state)
-        entry.last_use = self._clock
-        cache_set[line_addr] = entry
+            victim = cache_set.pop(next(iter(cache_set)))
+        entry = cache_set[line_addr] = L1Line(line_addr, state)
         return entry, victim
 
     #: Remove the line; returns the removed entry (dirty flag intact).

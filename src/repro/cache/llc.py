@@ -47,15 +47,24 @@ class LLCSlice(SetAssociativeCache):
         """Insert a home or replica entry; the set must have room.
 
         Raises if the slice already holds an entry of the *other* kind for
-        the same line (the protocol must never create that state).
+        the same line (the protocol must never create that state).  The
+        array's ``insert`` is inlined: every off-chip fill comes here.
         """
-        existing = self.lookup(entry.line_addr)
+        line_addr = entry.line_addr
+        shift = self._shift
+        cache_set = self._sets[
+            (line_addr ^ (line_addr >> shift) if shift else line_addr) & self._mask]
+        existing = cache_set.get(line_addr)
+        if existing is None and len(cache_set) >= self._ways:
+            raise RuntimeError(f"inserting line {line_addr:#x} into a full set; "
+                               "evict the victim_for() entry first")
         if existing is not None and type(existing) is not type(entry):
             raise RuntimeError(
                 f"slice {self.core_id} holds a {type(existing).__name__} for line "
-                f"{entry.line_addr:#x}; cannot insert {type(entry).__name__}"
-            )
-        super().insert(entry)
+                f"{line_addr:#x}; cannot insert {type(entry).__name__}")
+        self._clock += 1
+        entry.last_use = self._clock
+        cache_set[line_addr] = entry
 
     # -- inspection --------------------------------------------------------------
     def replica_count(self) -> int:

@@ -38,6 +38,13 @@ class LRUPolicy:
         return min(candidates, key=BY_RECENCY)
 
 
+class OldestFirstPolicy:
+    """LRU over a set kept in recency order (the L1's): its first entry."""
+
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
+        return next(iter(candidates))
+
+
 class ModifiedLRUPolicy:
     """The paper's LLC policy: fewest L1 copies first, then LRU.
 

@@ -42,8 +42,7 @@ class MemoryController:
         epoch = int(now) // self.CONTENTION_EPOCH
         stored_epoch, demand = self._window
         if epoch > stored_epoch:
-            self._window = (epoch, self.service)
-            return 0.0, 0.0 + self.latency
+            stored_epoch, demand = epoch, 0
         self._window = (stored_epoch, demand + self.service)
         if not demand:
             return 0.0, 0.0 + self.latency
@@ -101,11 +100,23 @@ class DramSystem:
     def read(self, line_addr: int, now: float) -> tuple[MemoryController, float, float]:
         """Fetch a line; returns ``(controller, queue_wait, total_latency)``."""
         self.reads += 1
-        # controller_for, inlined (it is the specification).
+        # controller_for and MemoryController.access, inlined (they are the
+        # specification): every off-chip fill comes here.
         controllers = self.controllers
         controller = controllers[(line_addr ^ (line_addr >> 6)) % len(controllers)]
-        wait, latency = controller.access(now)
-        return controller, wait, latency
+        controller.accesses += 1
+        epoch = int(now) // controller.CONTENTION_EPOCH
+        stored_epoch, demand = controller._window
+        if epoch > stored_epoch:
+            stored_epoch, demand = epoch, 0
+        controller._window = (stored_epoch, demand + controller.service)
+        if not demand:
+            return controller, 0.0, 0.0 + controller.latency
+        utilization = demand / controller.CONTENTION_EPOCH
+        if utilization > controller.MAX_UTILIZATION:
+            utilization = controller.MAX_UTILIZATION
+        wait = controller.service * utilization / (1.0 - utilization)
+        return controller, wait, wait + controller.latency
 
     def write(self, line_addr: int, now: float) -> MemoryController:
         """Write back a dirty line (off the critical path; occupies bandwidth)."""

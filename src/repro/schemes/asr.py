@@ -47,26 +47,23 @@ class ASRScheme(ProtocolEngine):
     # ------------------------------------------------------------------
     # Shared read-only classification
     # ------------------------------------------------------------------
-    def _note_reader(self, line_addr: int, core: int) -> None:
-        first = self._reader.get(line_addr)
-        if first is None:
-            self._reader[line_addr] = core
-        elif first != core:
+    def should_replicate(
+        self, home_entry: HomeEntry, core: int, write: bool, is_ifetch: bool, only_sharer: bool
+    ) -> bool:
+        """Note the home's shared read-only evidence; ASR never replicates
+        at fill time (the base services call this once per home request)."""
+        line_addr = home_entry.line_addr
+        if write:
+            self._written.add(line_addr)
+        elif self._reader.setdefault(line_addr, core) != core:
             self._reader[line_addr] = -1  # multiple readers
+        return False
 
     def is_shared_readonly(self, line_addr: int) -> bool:
         """Sticky shared-RO classification at the home directory."""
         if line_addr in self._written:
             return False
         return self._reader.get(line_addr) == -1
-
-    def _service_read(self, home, core, entry, is_ifetch, t):
-        self._note_reader(entry.line_addr, core)
-        return super()._service_read(home, core, entry, is_ifetch, t)
-
-    def _service_write(self, home, core, entry, t):
-        self._written.add(entry.line_addr)
-        return super()._service_write(home, core, entry, t)
 
     # ------------------------------------------------------------------
     # Local lookup: replicas stay resident on hits (inclusive, unlike VR)
@@ -135,12 +132,3 @@ class ASRScheme(ProtocolEngine):
             had_copy = True
             llc.remove(line_addr)
         return had_copy, dirty, None
-
-    def _invalidate_replica_only(self, target, line_addr, now):
-        llc = self.slices[target]
-        replica = llc.replica(line_addr)
-        if replica is None:
-            return False, False, None
-        llc.remove(line_addr)
-        self.stats.energy_event(energy_events.LLC_TAG_WRITE)
-        return True, False, None

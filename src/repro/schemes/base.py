@@ -27,6 +27,7 @@ but do not stall the requester.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Optional
 
 
@@ -34,7 +35,7 @@ from repro.cache.entries import HomeEntry, L1Line, ReplicaEntry
 from repro.cache.l1 import L1Cache
 from repro.cache.llc import LLCSlice
 from repro.cache.replacement import make_policy
-from repro.coherence.sharers import make_sharer_tracker
+from repro.coherence.sharers import AckwiseSharers, FullMapSharers
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType, MESIState, MissStatus
 from repro.dram.controller import DramSystem
@@ -131,6 +132,15 @@ class ProtocolEngine:
         # Bound once so the replica-hit path converts nothing per hit.
         self._llc_tag_latency = float(config.llc_tag_latency)
         self._llc_data_latency = float(config.llc_data_latency)
+        # make_sharer_tracker's choice, made once for every off-chip fill.
+        pointers = config.ackwise_pointers
+        self._new_sharers = FullMapSharers if pointers is None \
+            else partial(AckwiseSharers, pointers)
+        #: The placement's learning hook, or None when it does not learn.
+        learns = type(self.placement).observe_access is not Placement.observe_access
+        self._observe_access = self.placement.observe_access if learns else None
+        #: Only engines that look replicas up keep any (not S-NUCA, R-NUCA).
+        self._holds_replicas = type(self).local_lookup is not ProtocolEngine.local_lookup
 
     # ------------------------------------------------------------------
     # Scheme hooks
@@ -166,7 +176,8 @@ class ProtocolEngine:
     def create_replica(
         self, core: int, line_addr: int, state: MESIState, write: bool, is_ifetch: bool, now: float
     ) -> None:
-        """Materialize a replica after a home fill (no-op by default)."""
+        """Materialize a replica after a home fill (no-op by default); the
+        replica it creates or finds backs the new L1 copy (``l1_copy``)."""
 
     def replica_slice_for(self, core: int, line_addr: int) -> int:
         """Slice where ``core`` would keep/find a replica of ``line_addr``."""
@@ -251,26 +262,23 @@ class ProtocolEngine:
     def make_fast_access(self):
         """Specialized access entry point for the fast simulation kernel.
 
-        Returns a closure with the semantics of :meth:`access` but with
-        every per-call attribute lookup pre-bound and the result reduced
-        to the latency scalar the event loop actually consumes (the stats
-        side effects are identical — the differential harness in
-        :mod:`repro.testing` enforces this).  Returns ``None`` when
-        :meth:`access` or :meth:`_l1_energy` (the two methods the closure
-        inlines) is overridden — on the subclass or as an instance
-        attribute — so the kernel falls back to the generic path instead
-        of silently bypassing the override.  The other helpers the
-        closure uses (:meth:`_handle_l1_miss`, :meth:`_fill_l1`,
-        :meth:`_maybe_send_tla_hint`) are captured as bound methods, so
-        their overrides are honored without a guard.
+        A closure with the semantics of :meth:`access` that runs the miss
+        half (:meth:`_handle_l1_miss`, :meth:`_fill_l1`) inline, pre-binds
+        every per-call attribute lookup and returns only the latency (the
+        stats side effects are identical — the differential harness in
+        :mod:`repro.testing` enforces this).  ``None`` when a method it
+        inlines (those two, :meth:`access`, :meth:`_l1_energy`) is
+        overridden, on the subclass or the instance, so the kernel falls
+        back to the generic path instead of bypassing the override.  The
+        hooks it calls (:meth:`local_lookup`, :meth:`_home_request`,
+        :meth:`handle_l1_eviction`, :meth:`_maybe_send_tla_hint`) are
+        bound methods, so their overrides need no guard.
         """
-        if (
-            "access" in self.__dict__
-            or "_l1_energy" in self.__dict__
-            or type(self).access is not ProtocolEngine.access
-            or type(self)._l1_energy is not ProtocolEngine._l1_energy
-        ):
-            return None
+        for method in ("access", "_l1_energy", "_handle_l1_miss", "_fill_l1"):
+            if method in self.__dict__ or (
+                getattr(type(self), method) is not getattr(ProtocolEngine, method)
+            ):
+                return None
         config = self.config
         l1_latency = config.l1_latency
         tla_hints = config.tla_hints
@@ -282,13 +290,16 @@ class ProtocolEngine:
         latency_buckets = stats.latency
         miss_status = stats.miss_status
         energy_counts = stats.energy_counts
-        handle_l1_miss = self._handle_l1_miss
-        fill_l1 = self._fill_l1
+        # The base local_lookup finds nothing for free: skip its frame.
+        local_lookup = self.local_lookup if self._holds_replicas else None
+        home_request = self._home_request
+        handle_l1_eviction = self.handle_l1_eviction
+        observer = self.observer
         IFETCH = AccessType.IFETCH
         WRITE = AccessType.WRITE
-        MODIFIED = MESIState.MODIFIED
         L1_HIT = MissStatus.L1_HIT
         L1_HIT_TIME = stat_names.L1_HIT_TIME
+        L1_TO_LLC_REPLICA = stat_names.L1_TO_LLC_REPLICA
         L1I_READ = energy_events.L1I_READ
         L1D_READ = energy_events.L1D_READ
         L1I_WRITE = energy_events.L1I_WRITE
@@ -312,13 +323,35 @@ class ProtocolEngine:
                     send_tla_hint(core, line_addr, is_ifetch, now)
                 return l1_latency
             counters["l1i_misses" if is_ifetch else "l1d_misses"] += 1
-            latency, status, state, dirty = handle_l1_miss(
-                core, line_addr, write, is_ifetch, now
-            )
-            fill_l1(core, line_addr, state, write, is_ifetch, now, dirty=dirty)
+            # _handle_l1_miss, inlined.
+            hit, probe_cost = local_lookup(core, line_addr, write, is_ifetch, now) \
+                if local_lookup is not None else (None, 0.0)
+            if probe_cost:
+                latency_buckets[L1_TO_LLC_REPLICA] += probe_cost
+            if hit is None:
+                latency, status, state = home_request(
+                    core, line_addr, write, is_ifetch, now + probe_cost)
+                dirty = False
+            else:
+                counters["llc_replica_hits"] += 1
+                if observer is not None:
+                    observer.on_replica_access(core, line_addr, write)
+                latency, state, dirty = hit
+                status = LLC_REPLICA_HIT
+            # _fill_l1, inlined.
+            entry, victim = l1.fill(line_addr, state)
+            if dirty:
+                entry.dirty = True
+            if write:
+                entry.state = MODIFIED
+                entry.dirty = True
+            energy_counts[L1I_WRITE if is_ifetch else L1D_WRITE] += 1
+            if victim is not None:
+                counters["l1_evictions"] += 1
+                handle_l1_eviction(core, victim, is_ifetch, now)
             miss_status[status] += 1
             latency_buckets[L1_HIT_TIME] += l1_latency
-            return latency + l1_latency
+            return latency + probe_cost + l1_latency
 
         return fast_access
 
@@ -341,14 +374,11 @@ class ProtocolEngine:
                 self.observer.on_replica_access(core, line_addr, write)
             latency, state, dirty = hit
             return probe_cost + latency, LLC_REPLICA_HIT, state, dirty
+        # A replica backing the new L1 copy was marked by local_lookup (hit)
+        # or create_replica (home fill); any other one was hit or removed.
         total, status, grant = self._home_request(
             core, line_addr, write, is_ifetch, now + probe_cost
         )
-        # A replica hit's local_lookup marks its own replica; after a home
-        # fill, a local replica (new or old) backs the L1 copy.
-        replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
-        if replica is not None:
-            replica.l1_copy = True
         return total + probe_cost, status, grant, False
 
     def _home_request(
@@ -371,7 +401,8 @@ class ProtocolEngine:
         mesh_send = self.mesh.send
         config = self.config
 
-        placement.observe_access(line_addr, core, is_ifetch)
+        if self._observe_access is not None:
+            self._observe_access(line_addr, core, is_ifetch)
         home = placement.home_for(line_addr, core, is_ifetch)
         # Per-cluster instruction copies are independent read-only homes.
         if not (is_ifetch and placement.homes_depend_on_requester):
@@ -520,8 +551,14 @@ class ProtocolEngine:
     def _invalidate_replica_only(
         self, target: int, line_addr: int, now: float
     ) -> tuple[bool, bool, Optional[int]]:
-        """Invalidate only the LLC replica of the *writer* (keep its L1)."""
-        return False, False, None  # base machine: no replicas
+        """Invalidate only the *writer*'s LLC replica (per-core by default)."""
+        llc = self.slices[target]
+        replica = llc.replica(line_addr) if self._holds_replicas else None
+        if replica is None:
+            return False, False, None
+        llc.remove(line_addr)
+        self._energy_counts[energy_events.LLC_TAG_WRITE] += 1
+        return True, replica.dirty or replica.state == MODIFIED, None
 
     def _downgrade_owner(self, home: int, entry: HomeEntry, t: float) -> float:
         """Ask the E/M owner to downgrade to S and write back dirty data."""
@@ -582,11 +619,7 @@ class ProtocolEngine:
             response = t + dram_latency
         energy_counts = self._energy_counts
         energy_counts[energy_events.DRAM_READ] += 1
-        entry = HomeEntry(
-            line_addr,
-            make_sharer_tracker(self.config.num_cores, self.config.ackwise_pointers),
-            SHARED,
-        )
+        entry = HomeEntry(line_addr, self._new_sharers(), SHARED)
         entry.classifier = self._new_classifier_state()
         llc.insert(entry)
         energy_counts[energy_events.LLC_TAG_WRITE] += 1
@@ -708,17 +741,25 @@ class ProtocolEngine:
         (Section 2.2.3)."""
         line_addr = victim.line_addr
         dirty = victim.dirty or victim.state == MODIFIED
-        replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
-        if replica is not None:
-            # Dirty data merges into the replica; the core remains a sharer.
-            replica.l1_copy = False
-            if dirty:
-                replica.dirty = True
-                if replica.state >= EXCLUSIVE:
-                    replica.state = MODIFIED
-                self._energy_counts[energy_events.LLC_DATA_WRITE] += 1
-            return
-        home = self._home_of_cached_line(core, line_addr, is_ifetch)
+        if self._holds_replicas:
+            replica = self.slices[self.replica_slice_for(core, line_addr)].replica(line_addr)
+            if replica is not None:
+                # Dirty data merges into the replica; the core remains a sharer.
+                replica.l1_copy = False
+                if dirty:
+                    replica.dirty = True
+                    if replica.state >= EXCLUSIVE:
+                        replica.state = MODIFIED
+                    self._energy_counts[energy_events.LLC_DATA_WRITE] += 1
+                return
+        # _home_of_cached_line, inlined (it is the specification).
+        placement = self.placement
+        if is_ifetch and placement.homes_depend_on_requester:
+            home = placement.home_for(line_addr, core, True)
+        else:
+            home = self._active_home.get(line_addr)
+            if home is None:
+                home = placement.home_for(line_addr, core, False)
         flits = self._data_flits if dirty else self._control_flits
         if home != core:
             self.mesh.send(core, home, flits, now)

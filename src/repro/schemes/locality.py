@@ -246,12 +246,16 @@ class LocalityAwareScheme(ProtocolEngine):
             return  # Section 2.3.1: the simple strategy skips E/M replicas
         slice_id = self.replica_slice_for(core, line_addr)
         llc = self.slices[slice_id]
-        if llc.lookup(line_addr) is not None:  # a home or replica entry already
+        existing = llc.lookup(line_addr)
+        if existing is not None:  # a home or replica entry already
+            if isinstance(existing, ReplicaEntry):
+                existing.l1_copy = True  # it backs the L1 copy being filled
             return
         self._make_room(slice_id, line_addr, now)
         replica = ReplicaEntry(line_addr, state, self.reuse_max)
         if write:
             replica.state = MESIState.MODIFIED
+        replica.l1_copy = True  # it backs the L1 copy being filled
         llc.insert(replica)
         self.stats.energy_event(energy_events.LLC_TAG_WRITE)
         self.stats.energy_event(energy_events.LLC_DATA_WRITE)

@@ -120,13 +120,3 @@ class VictimReplicationScheme(ProtocolEngine):
             dirty = dirty or replica.dirty or replica.state == MESIState.MODIFIED
             llc.remove(line_addr)
         return had_copy, dirty, None
-
-    def _invalidate_replica_only(self, target, line_addr, now):
-        llc = self.slices[target]
-        replica = llc.replica(line_addr)
-        if replica is None:
-            return False, False, None
-        dirty = replica.dirty or replica.state == MESIState.MODIFIED
-        llc.remove(line_addr)
-        self.stats.energy_event(energy_events.LLC_TAG_WRITE)
-        return True, dirty, None

@@ -126,14 +126,25 @@ class _ArrayModel:
 def _view(entry):
     if entry is None:
         return None
-    return entry.line_addr, entry.state, entry.dirty, entry.last_use
+    return entry.line_addr, entry.state, entry.dirty
 
 
-def _contents(cache):
-    return [[_view(entry) for entry in cache_set.values()] for cache_set in cache._sets]
+def _by_recency(cache_set, timestamps):
+    """A set's entries, least recently used first."""
+    entries = list(cache_set.values())
+    if timestamps:
+        entries.sort(key=lambda entry: entry.last_use)
+    return [_view(entry) for entry in entries]
+
+
+def _contents(cache, timestamps):
+    return [_by_recency(cache_set, timestamps) for cache_set in cache._sets]
 
 
 class TestAgainstArrayModel:
+    """The L1 keeps recency as each set's dict order; the timestamped array
+    model must see the same victims and the same recency order per set."""
+
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
         "geometry",
@@ -166,6 +177,39 @@ class TestAgainstArrayModel:
                     model.array.lookup(line_addr).dirty = True
             else:
                 assert _view(l1.invalidate(line_addr)) == _view(model.invalidate(line_addr))
-            assert l1._clock == model.array._clock
-        assert _contents(l1) == _contents(model.array)
+            assert _contents(l1, False) == _contents(model.array, True)
         assert len(l1) == len(model.array)
+
+
+class TestInheritedRecencyMethods:
+    """The L1's inherited array methods keep its recency in dict order, so
+    no path can leave a set ordered by stale ``last_use`` timestamps."""
+
+    def _full_set(self):
+        l1 = L1Cache(CacheGeometry(sets=1, ways=3))
+        for line_addr in (0, 1, 2):
+            l1.fill(line_addr, MESIState.SHARED)
+        for entry in l1:  # timestamps that disagree with the real recency
+            entry.last_use = 100 - entry.line_addr
+        return l1
+
+    @pytest.mark.parametrize("use", [
+        lambda l1: l1.access(0),
+        lambda l1: l1.touch(l1.lookup(0)),
+        lambda l1: l1.insert(L1Line(0, MESIState.SHARED)),
+        lambda l1: l1.probe_hit(0, write=True),
+        lambda l1: l1.fill(0, MESIState.EXCLUSIVE),
+    ], ids=["access", "touch", "insert", "probe_hit", "fill"])
+    def test_use_makes_line_most_recent(self, use):
+        l1 = self._full_set()
+        use(l1)
+        assert [entry.line_addr for entry in l1] == [1, 2, 0]
+        assert l1.victim_for(3).line_addr == 1
+        _entry, victim = l1.fill(3, MESIState.SHARED)
+        assert victim.line_addr == 1
+
+    def test_lookup_and_downgrade_keep_recency(self):
+        l1 = self._full_set()
+        l1.lookup(0)
+        l1.downgrade(0)
+        assert l1.victim_for(3).line_addr == 0

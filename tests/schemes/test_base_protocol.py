@@ -3,7 +3,9 @@
 import pytest
 
 from repro.common.params import MachineConfig
+from repro.cache.llc import LLCSlice
 from repro.common.types import AccessType, MESIState, MissStatus
+from repro.dram.controller import DramSystem
 from repro.network.mesh import Mesh
 from repro.schemes.asr import ASRScheme
 from repro.schemes.base import ProtocolEngine
@@ -223,10 +225,26 @@ class TestMissPathDispatchTax:
         ASRScheme.handle_l1_eviction,
         VictimReplicationScheme.local_lookup,
         VictimReplicationScheme.handle_l1_eviction,
+        ASRScheme.should_replicate,
+        LLCSlice.insert,
+        DramSystem.read,
         Mesh.send,
     ], ids=lambda function: function.__qualname__)
     def test_no_slow_lookups(self, function):
         assert self.SLOW_NAMES.isdisjoint(function.__code__.co_names)
+
+    def test_fast_closure_has_no_slow_lookups(self):
+        fast_access = SNucaScheme(MachineConfig.tiny()).make_fast_access()
+        assert self.SLOW_NAMES.isdisjoint(fast_access.__code__.co_names)
+
+    def test_no_dead_replica_probe_after_a_home_fill(self):
+        """create_replica marks the replica it makes or finds, so the miss
+        path never probes the slice again after the home transaction."""
+        names = ProtocolEngine._handle_l1_miss.__code__.co_names
+        assert {"slices", "replica", "replica_slice_for"}.isdisjoint(names)
+
+    def test_off_chip_fill_binds_the_sharer_tracker_once(self):
+        assert "make_sharer_tracker" not in ProtocolEngine._fetch_from_dram.__code__.co_names
 
     def test_fill_does_not_probe_the_slice(self):
         """A replica hit's local_lookup marks its replica and the home-fill

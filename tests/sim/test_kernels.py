@@ -13,6 +13,7 @@ from repro.common.addr import Region
 from repro.common.types import AccessType, LineClass
 from repro.schemes.factory import make_scheme
 from repro.schemes.snuca import SNucaScheme
+from repro.schemes.victim import VictimReplicationScheme
 from repro.sim.kernel import (
     DEFAULT_KERNEL,
     KERNELS,
@@ -261,6 +262,44 @@ class TestFastAccessSpecialization:
         fast = simulate(SilentL1Energy(config), traces, kernel="fast")
         reference = simulate(SilentL1Energy(config), traces, kernel="reference")
         assert_stats_equal(reference, fast, context="_l1_energy override")
+
+    @pytest.mark.parametrize("method", ["_handle_l1_miss", "_fill_l1"])
+    def test_miss_half_override_disables_specialization(self, traces_small, method):
+        """The closure runs the miss half inline, so overriding either
+        method must send the fast kernel back to the generic path."""
+        config, traces = traces_small
+        calls = []
+
+        def counted(self, *args, **kwargs):
+            calls.append(method)
+            return getattr(VictimReplicationScheme, method)(self, *args, **kwargs)
+
+        Counting = type("Counting", (VictimReplicationScheme,), {method: counted})
+        assert Counting(config).make_fast_access() is None
+        fast = simulate(Counting(config), traces, kernel="fast")
+        assert calls, "the fast kernel bypassed the override"
+        reference = simulate(Counting(config), traces, kernel="reference")
+        assert_stats_equal(reference, fast, context=f"{method} override")
+
+    @pytest.mark.parametrize("method", ["_handle_l1_miss", "_fill_l1"])
+    def test_miss_half_instance_override_disables_specialization(
+        self, traces_small, method
+    ):
+        config, traces = traces_small
+        engine = make_scheme("RT-3", config)
+        calls = []
+        original = getattr(engine, method)
+
+        def wrapper(*args, **kwargs):
+            calls.append(method)
+            return original(*args, **kwargs)
+
+        setattr(engine, method, wrapper)
+        assert engine.make_fast_access() is None
+        fast = simulate(engine, traces, kernel="fast")
+        assert calls, "the fast kernel bypassed the override"
+        reference = simulate(make_scheme("RT-3", config), traces, kernel="reference")
+        assert_stats_equal(reference, fast, context=f"{method} instance override")
 
     def test_subclassing_without_access_override_keeps_specialization(
         self, traces_small
