@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING, Iterable
 
 from repro.common.params import MachineConfig
@@ -67,12 +67,32 @@ def run_specs(
     execution, which keeps debugging and coverage tooling simple.
     """
     spec_list = list(specs)
+    results: list = [None] * len(spec_list)
+    for position, result in _completed(list(enumerate(spec_list)), max_workers):
+        results[position] = result
+    return results
+
+
+def _completed(work: "list[tuple]", max_workers: int | None):
+    """Run ``(tag, RunSpec)`` pairs, dispatched in order, and yield
+    ``(tag, result)`` as each one finishes.  A spec that raised
+    re-raises once every other spec has been yielded."""
     if max_workers is None:
-        max_workers = min(len(spec_list), os.cpu_count() or 1)
-    if max_workers <= 1 or len(spec_list) <= 1:
-        return [_execute(spec) for spec in spec_list]
+        max_workers = min(len(work), os.cpu_count() or 1)
+    if max_workers <= 1 or len(work) <= 1:
+        for tag, spec in work:
+            yield tag, _execute(spec)
+        return
+    errors = []
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(_execute, spec_list))
+        futures = {pool.submit(_execute, spec): tag for tag, spec in work}
+        for future in as_completed(futures):
+            if future.exception() is None:
+                yield futures[future], future.result()
+            else:
+                errors.append(future.exception())
+    if errors:
+        raise errors[0]
 
 
 def _edp(result: RunResult) -> float:
@@ -154,26 +174,24 @@ def execute_spec_parallel(
     """Parallel twin of :func:`repro.experiments.spec.execute_spec`.
 
     Stored results are served without simulating; only the missed points
-    are sharded across the pool, and every fresh result is written back
-    to the store.
+    are sharded across the pool, and each point's result is written to
+    the store as soon as all of its specs are in, so a run that dies
+    part-way keeps the points it finished.
     """
     results, missed = scan_spec_misses(spec, setup, store)
-    pending: list[tuple] = []  # (key, points, spec count)
-    work: list[RunSpec] = []
-    for key, points in missed:
-        expansion = point_run_specs(points[0], setup)
-        pending.append((key, points, len(expansion)))
-        work.extend(expansion)
-
-    outputs = run_specs(work, max_workers=max_workers)
-    cursor = 0
-    for key, points, count in pending:
-        candidates = outputs[cursor:cursor + count]
-        cursor += count
-        result = candidates[0] if count == 1 else min(candidates, key=_edp)
-        store.put(key, result)
-        for shared_point in points:
-            results[shared_point] = result
+    expansions = [point_run_specs(points[0], setup) for _key, points in missed]
+    outputs = [[None] * len(expansion) for expansion in expansions]
+    work = [((index, slot), run_spec) for index, expansion in enumerate(expansions)
+            for slot, run_spec in enumerate(expansion)]
+    for (index, slot), result in _completed(work, max_workers):
+        outputs[index][slot] = result
+        if None not in outputs[index]:
+            # An ASR search keeps its lowest-EDP level (first on ties).
+            best = min(outputs[index], key=_edp)
+            key, points = missed[index]
+            store.put(key, best)
+            for shared_point in points:
+                results[shared_point] = best
 
     # Preserve the spec's point order in the result set.
     ordered = {point: results[point] for point in spec.points}

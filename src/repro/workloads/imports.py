@@ -738,6 +738,10 @@ def infer_regions(cores: Iterable[CoreTrace]) -> list[tuple[Region, LineClass]]:
     return _coalesce(all_lines[order], all_classes[order])
 
 
+#: ``LineClass`` members by value (a dict lookup per region, not a call).
+_LINE_CLASSES = {int(line_class): line_class for line_class in LineClass}
+
+
 def _coalesce(lines: np.ndarray, classes: np.ndarray) -> list[tuple[Region, LineClass]]:
     """Runs of consecutive same-class line addresses → Regions."""
     if lines.size == 0:
@@ -745,12 +749,11 @@ def _coalesce(lines: np.ndarray, classes: np.ndarray) -> list[tuple[Region, Line
     breaks = np.flatnonzero((np.diff(lines) != 1) | (np.diff(classes) != 0))
     starts = np.concatenate(([0], breaks + 1))
     ends = np.concatenate((breaks + 1, [lines.size]))
+    bases = lines[starts]
+    sizes = lines[ends - 1] - bases + 1
     return [
-        (
-            Region(int(lines[start]), int(lines[end - 1] - lines[start] + 1)),
-            LineClass(int(classes[start])),
-        )
-        for start, end in zip(starts, ends)
+        (Region(base, size), _LINE_CLASSES[line_class])
+        for base, size, line_class in zip(bases.tolist(), sizes.tolist(), classes[starts].tolist())
     ]
 
 

@@ -16,8 +16,8 @@ the set.
     :meth:`TraceSet.open_source` returns: zero-copy views, so the boxed
     window is bounded by the chunk, not the trace);
   - :class:`CaptureSegmentSource` decodes an external capture file
-    block-by-block (the direct-capture path: nothing but the current
-    decode block and small per-core staging buffers ever exists).
+    block-by-block (the direct-capture path: nothing but fixed-size
+    decode blocks and small per-core staging buffers ever exists).
 
 * :class:`SegmentProducer` — the decode/simulate overlap: a background
   thread pulls decoded segments from a source iterator into a bounded
@@ -30,8 +30,10 @@ the set.
   for a fresh source, so one streaming set can drive a whole experiment
   grid.
 
-Memory stays proportional to ``num_cores x chunk``, independent of trace
-length — see the README's "Streaming giga-traces" section for the
+A capture's memory is a few fixed decode blocks
+(:data:`repro.workloads.champsim_bin.BLOCK_INSTRUCTIONS` instructions
+each) plus ``num_cores x chunk`` records of windows, independent of
+trace length — see the README's "Streaming giga-traces" section for the
 measured envelope.
 """
 
@@ -49,6 +51,8 @@ import numpy as np
 
 from repro.common.addr import Region
 from repro.common.types import AccessType, LineClass
+from repro.workloads import champsim_bin
+from repro.workloads.imports import TraceImportError, infer_regions, trace_content_hash
 from repro.workloads.trace import CoreTrace, TraceSet, check_coverage, region_bounds
 
 #: Default records per core per chunk.  At ~17 bytes/record of array
@@ -139,6 +143,9 @@ class CaptureSegmentSource(SegmentSource):
     decode) yields *lock-step* segments: one list of per-core chunks per
     decoded file block.  The event loop pulls per core on demand, so
     chunks for not-yet-starved cores wait in per-core staging queues.
+    A pull hands over at most ``chunk_records`` records: whole staged
+    chunks while they fit, or the head of a larger one, whose rest
+    stays staged.
 
     Staging is bounded by consumption skew, not trace length: each
     pulled block adds at most one chunk per core, and a core's staging
@@ -185,16 +192,21 @@ class CaptureSegmentSource(SegmentSource):
         while not staged:
             if not self._advance():
                 return None
-        if len(staged) == 1:
-            types, lines, gaps = staged.pop()
-        else:
-            # Consumption skew batched several blocks for this core;
-            # hand them over as one window (fewer suspends later).
-            types = np.concatenate([chunk[0] for chunk in staged])
-            lines = np.concatenate([chunk[1] for chunk in staged])
-            gaps = np.concatenate([chunk[2] for chunk in staged])
-            staged.clear()
-        return types, lines, gaps
+        cap = self.chunk_records
+        count = size = 0
+        while count < len(staged) and size + len(staged[count][0]) <= cap:
+            size += len(staged[count][0])
+            count += 1
+        if count == 1:
+            return staged.pop(0)
+        if count:
+            # Consumption skew staged several chunks: one window of them.
+            taken, staged[:count] = staged[:count], []
+            return tuple(np.concatenate(arrays) for arrays in zip(*taken))
+        # The head chunk alone exceeds a window: split it.
+        head = staged[0]
+        staged[0] = tuple(array[cap:] for array in head)
+        return tuple(array[:cap] for array in head)
 
     def close(self) -> None:
         closer = getattr(self._segments, "close", None)
@@ -371,45 +383,40 @@ class StreamingTraceSet:
     ) -> "StreamingTraceSet":
         """Stream a binary ChampSim capture file directly (no ``.npz``).
 
-        Pass 1 scans the capture once (bounded blocks) to infer the
-        region map and record counts; each simulation run then re-opens
-        and re-decodes it, with the decode running on a
-        :class:`SegmentProducer` thread when ``overlap`` is on.  Peak
-        memory is independent of capture length (footprint-bounded
-        region inference aside).
+        Pass 1 scans the capture once to infer the region map and
+        record counts; each simulation run then re-opens and re-decodes
+        it, with the decode running on a :class:`SegmentProducer`
+        thread when ``overlap`` is on.  Both passes decode in fixed
+        :data:`~repro.workloads.champsim_bin.BLOCK_INSTRUCTIONS` blocks,
+        whatever the core count; ``chunk_records`` only caps the
+        windows a run pulls.  Peak memory is independent of capture
+        length (footprint-bounded region inference aside).
         """
-        from repro.workloads.champsim_bin import iter_access_segments
-        from repro.workloads.imports import infer_regions
-
         path = Path(path)
         line_shift = line_bytes.bit_length() - 1
         chunk = stream_chunk_records(chunk_records)
-        # Decode blocks sized so each core receives ~chunk records.
-        block_instructions = max(1024, chunk * num_cores)
+        block_instructions = champsim_bin.BLOCK_INSTRUCTIONS
+
+        def decode() -> Iterator:
+            return champsim_bin.iter_access_segments(
+                path, num_cores, line_shift, block_instructions, max_instructions
+            )
 
         scanner = _RegionScan(num_cores)
         total = 0
-        for segment in iter_access_segments(
-            path, num_cores, line_shift, block_instructions, max_instructions
-        ):
+        for segment in decode():
             for core, (types, lines, _gaps) in enumerate(segment):
                 scanner.observe(core, types, lines)
                 total += len(types)
         regions = scanner.regions()
         if total == 0:
-            from repro.workloads.imports import TraceImportError
-
             raise TraceImportError(path, None, "capture contains no memory accesses")
 
         def factory() -> SegmentSource:
-            segments: Iterable = iter_access_segments(
-                path, num_cores, line_shift, block_instructions, max_instructions
-            )
+            segments: Iterable = decode()
             if overlap:
                 segments = SegmentProducer(segments)
             return CaptureSegmentSource(segments, num_cores, chunk)
-
-        from repro.workloads.imports import trace_content_hash
 
         return cls(
             name=name or path.name.split(".")[0],
@@ -439,30 +446,30 @@ class _RegionScan:
     Accumulates each core's unique data/written/fetched line sets across
     streamed segments (memory bounded by the *footprint*, not the trace
     length), then reconstructs the region map with the same
-    classification rules the materializing importer uses.
+    classification rules the materializing importer uses.  Each block's
+    unique lines are queued and merged only once the queue outgrows the
+    merged set, so the scan's cost does not grow with the block count.
     """
 
     def __init__(self, num_cores: int):
-        self._data = [np.empty(0, dtype=np.int64) for _ in range(num_cores)]
-        self._written = [np.empty(0, dtype=np.int64) for _ in range(num_cores)]
-        self._fetched = [np.empty(0, dtype=np.int64) for _ in range(num_cores)]
+        # Per core: the data, written and fetched line sets.
+        self._sets = [[_LineSet() for _kind in range(3)] for _ in range(num_cores)]
 
     def observe(self, core: int, types: np.ndarray, lines: np.ndarray) -> None:
-        data_mask = (types == AccessType.READ) | (types == AccessType.WRITE)
-        if data_mask.any():
-            self._data[core] = np.union1d(self._data[core], lines[data_mask])
         write_mask = types == AccessType.WRITE
-        if write_mask.any():
-            self._written[core] = np.union1d(self._written[core], lines[write_mask])
-        fetch_mask = types == AccessType.IFETCH
-        if fetch_mask.any():
-            self._fetched[core] = np.union1d(self._fetched[core], lines[fetch_mask])
+        masks = (
+            (types == AccessType.READ) | write_mask,
+            write_mask,
+            types == AccessType.IFETCH,
+        )
+        for line_set, mask in zip(self._sets[core], masks):
+            if mask.any():
+                line_set.add(lines[mask])
 
     def regions(self) -> "list[tuple[Region, LineClass]]":
-        from repro.workloads.imports import infer_regions
-
         cores = []
-        for data, written, fetched in zip(self._data, self._written, self._fetched):
+        for core_sets in self._sets:
+            data, written, fetched = (line_set.lines() for line_set in core_sets)
             # Rebuild a minimal per-core trace carrying exactly the
             # (unique line, kind) facts infer_regions consumes: one READ
             # per data line, one WRITE per written line, one IFETCH per
@@ -478,3 +485,22 @@ class _RegionScan:
                 gaps=np.zeros(len(lines), dtype=np.uint16),
             ))
         return infer_regions(cores)
+
+
+class _LineSet:
+    """Sorted unique lines, grown block by block and merged in batches."""
+
+    def __init__(self) -> None:
+        self.merged, self.queue, self.queued = np.empty(0, dtype=np.int64), [], 0
+
+    def add(self, lines: np.ndarray) -> None:
+        self.queue.append(np.unique(lines))
+        self.queued += len(self.queue[-1])
+        if self.queued >= len(self.merged):
+            self.lines()
+
+    def lines(self) -> np.ndarray:
+        if self.queue:
+            self.merged = np.unique(np.concatenate([self.merged, *self.queue]))
+            self.queue, self.queued = [], 0
+        return self.merged

@@ -126,3 +126,32 @@ class TestExecuteSpecParallel:
         # Same accounting as the sequential executor: one miss, one hit.
         assert store.misses == 1 and store.hits == 1
         assert results["DEDUP"]["first"] is results["DEDUP"]["second"]
+
+
+class TestCommitAsCompleted:
+    """Each point is stored once all of its specs are in, so a run that
+    fails part-way keeps the points it finished."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_last_spec_keeps_earlier_points(self, setup, workers):
+        store = ResultStore.memory()
+        spec = ExperimentSpec("partial", (
+            RunPoint("S-NUCA", "DEDUP"),
+            RunPoint("ASR", "DEDUP"),
+            RunPoint("NO-SUCH-SCHEME", "DEDUP"),
+        ))
+        with pytest.raises(Exception, match="NO-SUCH-SCHEME"):
+            execute_spec_parallel(spec, setup, store, max_workers=workers)
+        kept = [
+            store.get(store.key_for(point.fingerprint(setup))) is not None
+            for point in spec.points
+        ]
+        assert kept == [True, True, False]
+        # A rerun without the failing point is served from the store.
+        resumed = execute_spec(ExperimentSpec("resume", spec.points[:2]), setup,
+                               store=store)
+        sequential = execute_spec(ExperimentSpec("fresh", spec.points[:2]), setup)
+        for point in spec.points[:2]:
+            assert resumed.result_for(point).stats == sequential.result_for(point).stats
+            assert (resumed.result_for(point).asr_level
+                    == sequential.result_for(point).asr_level)

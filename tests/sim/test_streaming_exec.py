@@ -16,6 +16,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.common.params import MachineConfig
 from repro.schemes.factory import make_scheme
 from repro.sim.kernel import FastKernel
 from repro.sim.simulator import simulate
@@ -30,8 +31,6 @@ KERNELS = ("reference", "fast")
 
 @pytest.fixture(scope="module")
 def trace_and_config():
-    from repro.common.params import MachineConfig
-
     config = MachineConfig.tiny()
     return build_trace(get_profile("RADIX"), config, seed=5), config
 
@@ -105,9 +104,25 @@ class TestStreamedEqualsMaterialized:
         assert got == expected
 
 
+@pytest.fixture(scope="module")
+def imported_capture(tmp_path_factory):
+    """A 4-core capture, its materialized import and that import's stats."""
+    from repro.workloads.champsim_bin import synthesize_champsim_bin
+    from repro.workloads.imports import ImportOptions, import_trace
+
+    path = synthesize_champsim_bin(
+        tmp_path_factory.mktemp("capture") / "cap.trace.xz", 2000, seed=4,
+        footprint_lines=512,
+    )
+    materialized = import_trace(path, options=ImportOptions(num_cores=4))
+    expected = simulate(
+        make_scheme("RT-3", MachineConfig.tiny()), materialized, kernel="reference"
+    ).to_dict()
+    return path, materialized, expected
+
+
 class TestDirectCaptureStreaming:
     def test_capture_stream_matches_materialized_import(self, tmp_path):
-        from repro.common.params import MachineConfig
         from repro.workloads.champsim_bin import synthesize_champsim_bin
         from repro.workloads.imports import ImportOptions, import_trace
 
@@ -129,6 +144,26 @@ class TestDirectCaptureStreaming:
                     make_scheme("RT-3", config), streamed, kernel=kernel
                 ).to_dict()
                 assert got == expected, (overlap, kernel)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    @pytest.mark.parametrize("chunk", [1, 512])
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_any_decode_block_matches_materialized_import(
+        self, imported_capture, block, chunk, overlap, monkeypatch
+    ):
+        """The decode block and the window cap bound memory only: the
+        streamed stats equal the materialized import's, whatever they are."""
+        from repro.workloads import champsim_bin
+
+        path, materialized, expected = imported_capture
+        monkeypatch.setattr(champsim_bin, "BLOCK_INSTRUCTIONS", block)
+        streamed = StreamingTraceSet.from_champsim_bin(
+            path, num_cores=4, chunk_records=chunk, overlap=overlap
+        )
+        assert streamed.total_records == materialized.total_accesses()
+        assert streamed.regions == materialized.regions
+        got = simulate(make_scheme("RT-3", MachineConfig.tiny()), streamed).to_dict()
+        assert got == expected
 
     def test_window_coverage_violation_caught(self, trace_and_config):
         traces, config = trace_and_config

@@ -8,6 +8,7 @@ import lzma
 import numpy as np
 import pytest
 
+from repro.common.addr import Region
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType, LineClass
 from repro.schemes.factory import make_scheme
@@ -19,6 +20,7 @@ from repro.workloads.imports import (
     export_champsim,
     export_csv,
     export_din,
+    _coalesce,
     import_trace,
     infer_regions,
     is_imported_benchmark,
@@ -297,6 +299,51 @@ class TestRegionInference:
         path = _write(tmp_path, "t.csv", "0,0,R,4\n0,1,W,900\n1,0,R,4\n")
         traces = import_trace(path)
         traces.validate_coverage()  # must not raise
+
+
+def _coalesce_per_region(lines, classes):
+    """The element-wise ``_coalesce`` the vectorized one replaced."""
+    if lines.size == 0:
+        return []
+    breaks = np.flatnonzero((np.diff(lines) != 1) | (np.diff(classes) != 0))
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks + 1, [lines.size]))
+    return [
+        (
+            Region(int(lines[start]), int(lines[end - 1] - lines[start] + 1)),
+            LineClass(int(classes[start])),
+        )
+        for start, end in zip(starts, ends)
+    ]
+
+
+def _coalesce_inputs():
+    rng = np.random.default_rng(11)
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint8))
+    yield "empty", empty
+    yield "one line", (np.array([42]), np.array([int(LineClass.SHARED_RO)], dtype=np.uint8))
+    yield "one class", (np.arange(5, 50), np.full(45, int(LineClass.PRIVATE), dtype=np.uint8))
+    yield "gaps", (np.array([1, 2, 3, 7, 8, 20]), np.zeros(6, dtype=np.uint8))
+    for trial in range(20):
+        lines = np.unique(rng.integers(0, 400, size=rng.integers(1, 300)))
+        classes = rng.integers(0, len(LineClass), size=lines.size).astype(np.uint8)
+        if trial % 2:  # long same-class runs
+            classes = np.sort(classes)
+        yield f"random {trial}", (lines, classes)
+
+
+class TestCoalesce:
+    @pytest.mark.parametrize(
+        "lines,classes",
+        [case for _name, case in _coalesce_inputs()],
+        ids=[name for name, _case in _coalesce_inputs()],
+    )
+    def test_matches_the_per_region_version(self, lines, classes):
+        got = _coalesce(lines, classes)
+        assert got == _coalesce_per_region(lines, classes)
+        for region, line_class in got:
+            assert type(region.base) is int and type(region.size) is int
+            assert any(line_class is member for member in LineClass)
 
 
 class TestProvenanceAndHash:

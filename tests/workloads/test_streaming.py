@@ -5,21 +5,28 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.types import AccessType
 from repro.sim.simulator import simulate
+from repro.workloads import champsim_bin
+from repro.workloads.imports import infer_regions
 from repro.workloads.streaming import (
     DEFAULT_QUEUE_DEPTH,
     ArraySegmentSource,
     CaptureSegmentSource,
     SegmentProducer,
     StreamingTraceSet,
+    _RegionScan,
     stream_chunk_records,
 )
+from repro.workloads.trace import CoreTrace
 
 from tests.helpers import FixedLatencyEngine, records_trace_set, streamed_view
 
 R, W, B = AccessType.READ, AccessType.WRITE, AccessType.BARRIER
+I = AccessType.IFETCH
 
 
 def _chunk(types_lines):
@@ -136,6 +143,161 @@ class TestCaptureSegmentSource:
         source._segments = feed  # the iterator protocol loses .close
         source.close()
         assert closed == [True]
+
+
+def _drain(source):
+    """Pull every core round-robin to exhaustion: (core, window) list."""
+    windows = []
+    live = set(range(source.num_cores))
+    while live:
+        for core in sorted(live):
+            window = source.pull(core)
+            if window is None:
+                live.discard(core)
+            else:
+                windows.append((core, window))
+    return windows
+
+
+class TestWindowCap:
+    """A pull hands over at most ``chunk_records`` records, whatever the
+    decode block size and the consumption skew."""
+
+    def test_oversized_chunk_is_split_and_the_rest_staged(self):
+        chunk = _chunk([(R, line) for line in range(10)])
+        source = CaptureSegmentSource(iter([[chunk]]), num_cores=1, chunk_records=4)
+        windows = [list(window[1]) for _core, window in _drain(source)]
+        assert windows == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+
+    def test_skewed_staging_concatenates_only_up_to_the_cap(self):
+        segments = [
+            [_chunk([(R, block)]), _chunk([(W, 10 * block + k) for k in range(3)])]
+            for block in range(3)
+        ]
+        source = CaptureSegmentSource(iter(segments), num_cores=2, chunk_records=7)
+        for _ in range(3):
+            assert source.pull(0) is not None
+        # Core 1 has three 3-record chunks staged: 6 fit a window, 3 wait.
+        assert list(source.pull(1)[1]) == [0, 1, 2, 10, 11, 12]
+        assert list(source.pull(1)[1]) == [20, 21, 22]
+        assert source.pull(1) is None
+
+    @given(
+        sizes=st.lists(st.lists(st.integers(0, 12), min_size=3, max_size=3),
+                       max_size=8),
+        cap=st.integers(1, 20),
+        order=st.lists(st.integers(0, 2), max_size=60),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_every_window_fits_the_cap(self, sizes, cap, order):
+        segments, expected, counter = [], [[], [], []], 0
+        for block in sizes:
+            segment = []
+            for core, size in enumerate(block):
+                lines = list(range(counter, counter + size))
+                counter += size
+                expected[core].extend(lines)
+                segment.append(_chunk([(R, line) for line in lines]))
+            segments.append(segment)
+        source = CaptureSegmentSource(iter(segments), num_cores=3, chunk_records=cap)
+        got = [[], [], []]
+        # A skewed pull order first, then drain what is left.
+        pulled = [(core, source.pull(core)) for core in order]
+        pulled += _drain(source)
+        for core, window in pulled:
+            if window is None:
+                continue
+            assert 1 <= len(window[0]) <= cap
+            assert len(window[0]) == len(window[1]) == len(window[2])
+            got[core].extend(window[1].tolist())
+        assert got == expected
+
+
+@pytest.fixture(scope="module")
+def three_block_capture(tmp_path_factory):
+    """A capture one record past two default decode blocks."""
+    path = tmp_path_factory.mktemp("capture") / "blocks.trace.xz"
+    instructions = 2 * champsim_bin.BLOCK_INSTRUCTIONS + 5
+    champsim_bin.synthesize_champsim_bin(path, instructions, seed=2, footprint_lines=4096)
+    return path, instructions
+
+
+class TestFixedDecodeBlocks:
+    @pytest.mark.parametrize("chunk", [None, 1000])
+    @pytest.mark.parametrize("num_cores", [1, 4, 16, 64])
+    def test_no_block_exceeds_the_decode_block(
+        self, three_block_capture, num_cores, chunk, monkeypatch
+    ):
+        path, instructions = three_block_capture
+        monkeypatch.delenv("REPRO_STREAM_CHUNK", raising=False)
+        blocks = []
+        decode = champsim_bin.iter_instruction_blocks
+
+        def recorded(*args, **kwargs):
+            for block in decode(*args, **kwargs):
+                blocks.append(len(block))
+                yield block
+
+        monkeypatch.setattr(champsim_bin, "iter_instruction_blocks", recorded)
+        streamed = StreamingTraceSet.from_champsim_bin(
+            path, num_cores=num_cores, chunk_records=chunk
+        )
+        source = streamed.open_source()
+        try:
+            windows = _drain(source)
+        finally:
+            source.close()
+        # Both passes, the scan and the run's feed, read fixed blocks.
+        assert max(blocks) == champsim_bin.BLOCK_INSTRUCTIONS
+        assert sum(blocks) == 2 * instructions
+        cap = stream_chunk_records(chunk)
+        assert max(len(window[0]) for _core, window in windows) <= cap
+        assert sum(len(window[0]) for _core, window in windows) == streamed.total_records
+
+    def test_block_size_is_read_at_call_time(self, three_block_capture, monkeypatch):
+        path, _instructions = three_block_capture
+        blocks = []
+        decode = champsim_bin.iter_instruction_blocks
+
+        def recorded(path, block_instructions, *args, **kwargs):
+            blocks.append(block_instructions)
+            return decode(path, block_instructions, *args, **kwargs)
+
+        monkeypatch.setattr(champsim_bin, "iter_instruction_blocks", recorded)
+        monkeypatch.setattr(champsim_bin, "BLOCK_INSTRUCTIONS", 4096)
+        streamed = StreamingTraceSet.from_champsim_bin(path, num_cores=4, overlap=False)
+        source = streamed.open_source()
+        source.pull(0)
+        source.close()
+        assert blocks == [4096, 4096]
+
+
+class TestRegionScan:
+    @given(
+        cores=st.lists(
+            st.lists(st.tuples(st.sampled_from([R, W, I]), st.integers(0, 40)),
+                     max_size=40),
+            min_size=1, max_size=4,
+        ),
+        block=st.integers(1, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_amortized_scan_equals_infer_regions(self, cores, block):
+        traces = [
+            CoreTrace(
+                types=np.array([int(t) for t, _l in records], dtype=np.uint8),
+                lines=np.array([line for _t, line in records], dtype=np.int64),
+                gaps=np.zeros(len(records), dtype=np.uint16),
+            )
+            for records in cores
+        ]
+        scan = _RegionScan(len(traces))
+        longest = max(len(trace) for trace in traces)
+        for start in range(0, longest, block):  # lock-step blocks, like a feed
+            for core, trace in enumerate(traces):
+                scan.observe(core, trace.types[start:start + block],
+                             trace.lines[start:start + block])
+        assert scan.regions() == infer_regions(traces)
 
 
 class TestSegmentProducer:
