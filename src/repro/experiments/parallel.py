@@ -87,10 +87,11 @@ def _completed(work: "list[tuple]", max_workers: int | None):
     with ProcessPoolExecutor(max_workers=max_workers) as pool:
         futures = {pool.submit(_execute, spec): tag for tag, spec in work}
         for future in as_completed(futures):
-            if future.exception() is None:
+            error = future.exception()
+            if error is None:
                 yield futures[future], future.result()
             else:
-                errors.append(future.exception())
+                errors.append(error)
     if errors:
         raise errors[0]
 

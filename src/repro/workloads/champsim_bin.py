@@ -63,9 +63,8 @@ assert RECORD_BYTES == 64, "input_instr must pack to 64 bytes"
 NUM_SRC_MEM = 4
 NUM_DST_MEM = 2
 
-#: Instructions decoded per block (4 MiB of raw records), whatever the
-#: core count: the import, the stream's region scan and its decode feed
-#: all read the capture in blocks of this size.
+#: Instructions decoded per block (4 MiB of raw records), whatever the core
+#: count: the import and both passes of a stream read blocks of this size.
 BLOCK_INSTRUCTIONS = 65536
 
 
