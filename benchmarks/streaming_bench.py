@@ -11,6 +11,10 @@ contaminate each other).  Phases::
     materialized reference   (no cap: the low-memory unchunked kernel,
                               the ground truth the digests diff against)
 
+Each phase records ``trace simulate --json``'s ``load_s`` (building the
+trace set: the stream's pass-1 scan, or the whole import) and
+``simulate_s`` next to its subprocess ``elapsed_s``.
+
 The run FAILS (exit 1) when any ``stats_sha256`` diverges or a streamed
 phase exceeds the RSS cap; both are hard acceptance contracts of the
 streaming pipeline, not advisory trends.  Per-kernel streamed ==
@@ -90,6 +94,9 @@ def run_phase(capture: Path, phase: dict, scheme: str) -> dict:
             f"phase {phase['name']} failed ({proc.returncode}):\n{proc.stderr}"
         )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
+    # The file name, not the path: a temporary fixture's directory
+    # differs on every run.
+    result["trace"] = capture.name
     result["phase"] = phase["name"]
     result["elapsed_s"] = round(elapsed, 2)
     return result
@@ -114,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         capture = args.keep_fixture
     else:
         workdir = tempfile.TemporaryDirectory(prefix="streaming-bench-")
-        capture = Path(workdir.name) / "fixture.trace.xz"
+        capture = Path(workdir.name) / "hot10m.trace.xz"
 
     try:
         synth_s = synthesize(capture, args.records)
@@ -125,6 +132,8 @@ def main(argv: list[str] | None = None) -> int:
         results = [run_phase(capture, phase, args.scheme) for phase in PHASES]
         for result in results:
             print(f"  {result['phase']:<24} {result['elapsed_s']:>7.1f}s  "
+                  f"load {result['load_s']:>6.2f}s  "
+                  f"simulate {result['simulate_s']:>7.2f}s  "
                   f"rss {result['max_rss_kib'] / 1024:>6.1f} MiB  "
                   f"sha256 {result['stats_sha256'][:12]}")
 

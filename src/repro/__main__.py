@@ -285,6 +285,7 @@ def _stats_digest(stats) -> str:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     import json
     import resource
+    import time
 
     from repro.schemes.factory import make_scheme
     from repro.sim.simulator import simulate
@@ -293,6 +294,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     path = args.trace
     if not path.exists():
         raise SystemExit(f"{path} does not exist")
+    # load_s: building the trace set (a stream's pass-1 scan, or the import).
+    load_start = time.perf_counter()
     if path.suffix == ".npz":
         if args.max_inst is not None:
             raise SystemExit("--max-inst applies to binary captures, not "
@@ -319,6 +322,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 num_cores=cores,
                 max_instructions=args.max_inst,
             )
+    load_s = time.perf_counter() - load_start
     config_factory = FIXTURE_MACHINES.get(traces.num_cores)
     if config_factory is None:
         raise SystemExit(
@@ -326,7 +330,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"(supported: {sorted(FIXTURE_MACHINES)})"
         )
     engine = make_scheme(args.scheme, config_factory())
+    simulate_start = time.perf_counter()
     stats = simulate(engine, traces, kernel=args.kernel)
+    simulate_s = time.perf_counter() - simulate_start
     streamed = bool(getattr(traces, "is_streaming", False))
     records = (
         traces.total_records
@@ -342,6 +348,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "completion_time": stats.completion_time,
         "stats_sha256": _stats_digest(stats),
         "max_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "load_s": round(load_s, 3),
+        "simulate_s": round(simulate_s, 3),
     }
     if args.json:
         print(json.dumps(result, sort_keys=True))
@@ -349,7 +357,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         mode = "streamed" if streamed else "materialized"
         print(f"{path} [{args.scheme}] {mode}: "
               f"{records} records, completion {stats.completion_time:.1f}, "
-              f"peak RSS {result['max_rss_kib'] / 1024:.0f} MiB")
+              f"peak RSS {result['max_rss_kib'] / 1024:.0f} MiB, "
+              f"load {load_s:.2f} s, simulate {simulate_s:.2f} s")
         print(f"stats sha256: {result['stats_sha256']}")
     return 0
 

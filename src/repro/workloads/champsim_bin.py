@@ -141,28 +141,52 @@ def iter_instruction_blocks(
         )
 
 
+#: Memory slots per instruction, and the access type of each, sources first.
+_SLOTS = NUM_SRC_MEM + NUM_DST_MEM
+_SLOT_TYPES = np.array(
+    [int(AccessType.READ)] * NUM_SRC_MEM + [int(AccessType.WRITE)] * NUM_DST_MEM,
+    dtype=np.uint8,
+)
+
+
 def expand_block(
     block: np.ndarray, line_shift: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand one instruction block into per-access arrays.
+    """Expand instruction records into per-access arrays.
 
     Returns ``(types, lines, ops_per_instruction)`` where ``types`` /
     ``lines`` list every memory access of the block in instruction order
     (reads before writes within an instruction, slot order within each
     kind) and ``ops_per_instruction`` gives each instruction's access
-    count — the repeat vector a splitter needs to keep all of an
-    instruction's accesses on one core.
+    count.
     """
-    # Row-major boolean indexing walks each instruction's slots in
-    # column order, so concatenating sources before destinations yields
-    # exactly the documented per-instruction access order.
+    # The row-major positions of the used slots in a table of sources
+    # followed by destinations walk the accesses in exactly that order.
     addresses = np.concatenate((block["src_mem"], block["dst_mem"]), axis=1)
-    mask = addresses != 0
-    op_types = np.empty((len(block), NUM_SRC_MEM + NUM_DST_MEM), dtype=np.uint8)
-    op_types[:, :NUM_SRC_MEM] = int(AccessType.READ)
-    op_types[:, NUM_SRC_MEM:] = int(AccessType.WRITE)
-    lines = (addresses[mask] >> np.uint64(line_shift)).astype(np.int64)
-    return op_types[mask], lines, mask.sum(axis=1)
+    used = np.flatnonzero(addresses)
+    types = _SLOT_TYPES[used % _SLOTS]
+    lines = (addresses.ravel()[used] >> np.uint64(line_shift)).astype(np.int64)
+    return types, lines, np.bincount(used // _SLOTS, minlength=len(block))
+
+
+def split_block(
+    block: np.ndarray, first: int, num_cores: int, line_shift: int
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Expand one instruction block and split it round-robin over cores.
+
+    ``first`` is the capture-wide index of the block's first
+    instruction: instruction ``i`` lands on core ``i % num_cores``, with
+    all of its accesses.  Returns one ``(types, lines, gaps)`` chunk per
+    core: :func:`expand_block` of that core's instructions, with zero
+    gaps.
+    """
+    segment = []
+    for core in range(num_cores):
+        # The core's instructions are every num_cores-th record.
+        records = block[(core - first) % num_cores::num_cores]
+        types, lines, _counts = expand_block(records, line_shift)
+        segment.append((types, lines, np.zeros(len(lines), dtype=np.uint16)))
+    return segment
 
 
 def iter_access_segments(
@@ -174,28 +198,14 @@ def iter_access_segments(
 ) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Stream a capture as per-core ``(types, lines, gaps)`` segments.
 
-    Each yielded segment covers one decoded instruction block,
-    round-robin split at instruction granularity (instruction ``i`` of
-    the whole capture lands on core ``i % num_cores``), with zero gaps.
-    This is the bounded-memory feed behind both the materializing
-    importer and the streaming simulate path.
+    Each yielded segment is one decoded instruction block through
+    :func:`split_block`.  This is the bounded-memory feed behind both
+    the materializing importer and the streaming simulate path.
     """
-    base = 0
+    first = 0
     for block in iter_instruction_blocks(path, block_instructions, max_instructions):
-        types, lines, counts = expand_block(block, line_shift)
-        instr_cores = (base + np.arange(len(block), dtype=np.int64)) % num_cores
-        base += len(block)
-        op_cores = np.repeat(instr_cores, counts)
-        segment = []
-        for core in range(num_cores):
-            core_mask = op_cores == core
-            core_lines = lines[core_mask]
-            segment.append((
-                types[core_mask],
-                core_lines,
-                np.zeros(len(core_lines), dtype=np.uint16),
-            ))
-        yield segment
+        yield split_block(block, first, num_cores, line_shift)
+        first += len(block)
 
 
 def read_champsim_bin(path: "str | Path", options: "ImportOptions") -> "list[CoreTrace]":

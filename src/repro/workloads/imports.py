@@ -677,6 +677,33 @@ def export_din(traces: TraceSet, path: "str | Path",
 def infer_regions(cores: Iterable[CoreTrace]) -> list[tuple[Region, LineClass]]:
     """Reconstruct the (region, class) map from the access streams.
 
+    Each core's unique data, written and fetched lines go through
+    :func:`regions_from_line_sets`, which states the classification.
+    """
+    per_core_data: list[np.ndarray] = []
+    written: list[np.ndarray] = []
+    fetched: list[np.ndarray] = []
+    for trace in cores:
+        types = np.asarray(trace.types)
+        lines = np.asarray(trace.lines)
+        data_mask = (types == AccessType.READ) | (types == AccessType.WRITE)
+        per_core_data.append(np.unique(lines[data_mask]))
+        written.append(np.unique(lines[types == AccessType.WRITE]))
+        fetched.append(np.unique(lines[types == AccessType.IFETCH]))
+    return regions_from_line_sets(per_core_data, written, fetched)
+
+
+def regions_from_line_sets(
+    per_core_data: "list[np.ndarray]",
+    written: "list[np.ndarray]",
+    fetched: "list[np.ndarray]",
+) -> list[tuple[Region, LineClass]]:
+    """Classify and coalesce per-core *unique* line sets into a region map.
+
+    ``per_core_data[c]`` holds the lines core ``c`` read or wrote,
+    ``written[c]`` those it wrote and ``fetched[c]`` those it fetched,
+    each sorted and without duplicates (``np.unique`` output).
+
     * lines ever instruction-fetched → ``INSTRUCTION`` (takes priority
       over data classes when a line is both fetched and loaded);
     * data lines whose footprint belongs to exactly one core → ``PRIVATE``;
@@ -687,23 +714,9 @@ def infer_regions(cores: Iterable[CoreTrace]) -> list[tuple[Region, LineClass]]:
     :class:`Region`; every non-barrier access is covered, so
     ``TraceSet.validate_coverage`` passes by construction.
     """
-    per_core_data: list[np.ndarray] = []
-    written: list[np.ndarray] = []
-    fetched: list[np.ndarray] = []
-    for trace in cores:
-        types = np.asarray(trace.types)
-        lines = np.asarray(trace.lines)
-        data_mask = (types == AccessType.READ) | (types == AccessType.WRITE)
-        core_data = np.unique(lines[data_mask])
-        if core_data.size:
-            per_core_data.append(core_data)
-        core_written = np.unique(lines[types == AccessType.WRITE])
-        if core_written.size:
-            written.append(core_written)
-        core_fetched = np.unique(lines[types == AccessType.IFETCH])
-        if core_fetched.size:
-            fetched.append(core_fetched)
-
+    per_core_data = [lines for lines in per_core_data if lines.size]
+    written = [lines for lines in written if lines.size]
+    fetched = [lines for lines in fetched if lines.size]
     instruction = (
         np.unique(np.concatenate(fetched)) if fetched
         else np.empty(0, dtype=np.int64)

@@ -19,10 +19,12 @@ the set.
     block-by-block (the direct-capture path: nothing but fixed-size
     decode blocks and small per-core staging buffers ever exists).
 
-* :class:`SegmentProducer` — the decode/simulate overlap: a background
-  thread pulls decoded segments from a source iterator into a bounded
-  queue (:data:`DEFAULT_QUEUE_DEPTH` deep) so chunk ``N+1`` is
-  decompressed and decoded while the kernel simulates chunk ``N``.
+* :class:`SegmentProducer` — the reader thread of both passes over a
+  capture: it advances an iterator into a bounded queue
+  (:data:`DEFAULT_QUEUE_DEPTH` deep).  During a run it decodes chunk
+  ``N+1`` while the kernel simulates chunk ``N``; during the pass-1
+  region scan it decompresses block ``N+1`` while the main thread
+  expands, splits and scans block ``N``.
 
 * :class:`StreamingTraceSet` — the :class:`TraceSet`-shaped façade
   (``is_streaming = True``) over a capture that is never materialized.
@@ -40,7 +42,9 @@ measured envelope.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import dataclasses
+import functools
 import os
 import queue
 import threading
@@ -52,8 +56,12 @@ import numpy as np
 from repro.common.addr import Region
 from repro.common.types import AccessType, LineClass
 from repro.workloads import champsim_bin
-from repro.workloads.imports import TraceImportError, infer_regions, trace_content_hash
-from repro.workloads.trace import CoreTrace, TraceSet, check_coverage, region_bounds
+from repro.workloads.imports import (
+    TraceImportError,
+    regions_from_line_sets,
+    trace_content_hash,
+)
+from repro.workloads.trace import TraceSet, check_coverage, region_bounds
 
 #: Default records per core per chunk.  At ~17 bytes/record of array
 #: data plus the boxed window the fast kernel touches (~600 bytes/record
@@ -323,12 +331,20 @@ class StreamingTraceSet:
 
     is_streaming = True
 
-    def __post_init__(self) -> None:
-        self._bases = sorted(
+    @functools.cached_property
+    def _bounds(self) -> "tuple[np.ndarray, np.ndarray]":
+        """:func:`region_bounds` of the map, shared by every source."""
+        return region_bounds(self.regions)
+
+    @functools.cached_property
+    def _class_index(self) -> "tuple[list[int], list[tuple[int, int, LineClass]]]":
+        """Sorted region starts and ``(base, end, class)`` entries for
+        :meth:`classify`, built on first use (only the profiler asks)."""
+        bases = sorted(
             (region.base, region.end, line_class)
             for region, line_class in self.regions
         )
-        self._starts = [base for base, _end, _cls in self._bases]
+        return [base for base, _end, _cls in bases], bases
 
     def open_source(self) -> SegmentSource:
         """A fresh segment source positioned at the start of the trace.
@@ -340,7 +356,7 @@ class StreamingTraceSet:
         source = self.source_factory()
         pull = source.pull
         name = self.name
-        starts, ends = region_bounds(self.regions)
+        starts, ends = self._bounds
 
         def checked_pull(core):
             chunk = pull(core)
@@ -356,9 +372,10 @@ class StreamingTraceSet:
         """A no-op: :meth:`open_source` checks each chunk instead."""
 
     def classify(self, line_addr: int) -> LineClass:
-        index = bisect.bisect_right(self._starts, line_addr) - 1
+        starts, bases = self._class_index
+        index = bisect.bisect_right(starts, line_addr) - 1
         if index >= 0:
-            base, end, line_class = self._bases[index]
+            base, end, line_class = bases[index]
             if base <= line_addr < end:
                 return line_class
         raise KeyError(f"line {line_addr:#x} not in any region")
@@ -385,8 +402,10 @@ class StreamingTraceSet:
 
         Pass 1 scans the capture once to infer the region map and
         record counts; each simulation run then re-opens and re-decodes
-        it, with the decode running on a :class:`SegmentProducer`
-        thread when ``overlap`` is on.  Both passes decode in fixed
+        it.  With ``overlap`` on, a :class:`SegmentProducer` thread
+        reads ahead in both passes: in pass 1 it decompresses raw
+        instruction blocks while this thread expands and scans them, in
+        a run it does the whole decode.  Both passes decode in fixed
         :data:`~repro.workloads.champsim_bin.BLOCK_INSTRUCTIONS` blocks,
         whatever the core count; ``chunk_records`` only caps the
         windows a run pulls.  Peak memory is independent of capture
@@ -397,23 +416,30 @@ class StreamingTraceSet:
         chunk = stream_chunk_records(chunk_records)
         block_instructions = champsim_bin.BLOCK_INSTRUCTIONS
 
-        def decode() -> Iterator:
-            return champsim_bin.iter_access_segments(
-                path, num_cores, line_shift, block_instructions, max_instructions
-            )
-
+        # Both decoders are looked up at call time, so a patched module
+        # attribute reaches each pass.
+        blocks: Iterable = champsim_bin.iter_instruction_blocks(
+            path, block_instructions, max_instructions
+        )
+        if overlap:
+            blocks = SegmentProducer(blocks)
         scanner = _RegionScan(num_cores)
-        total = 0
-        for segment in decode():
-            for core, (types, lines, _gaps) in enumerate(segment):
-                scanner.observe(core, types, lines)
-                total += len(types)
+        total = first = 0
+        with contextlib.closing(blocks):
+            for block in blocks:
+                segment = champsim_bin.split_block(block, first, num_cores, line_shift)
+                first += len(block)
+                for core, (types, lines, _gaps) in enumerate(segment):
+                    scanner.observe(core, types, lines)
+                    total += len(types)
         regions = scanner.regions()
         if total == 0:
             raise TraceImportError(path, None, "capture contains no memory accesses")
 
         def factory() -> SegmentSource:
-            segments: Iterable = decode()
+            segments: Iterable = champsim_bin.iter_access_segments(
+                path, num_cores, line_shift, block_instructions, max_instructions
+            )
             if overlap:
                 segments = SegmentProducer(segments)
             return CaptureSegmentSource(segments, num_cores, chunk)
@@ -441,14 +467,15 @@ class StreamingTraceSet:
 
 
 class _RegionScan:
-    """Incremental :func:`~repro.workloads.imports.infer_regions` input.
+    """Incremental :func:`~repro.workloads.imports.infer_regions`.
 
     Accumulates each core's unique data/written/fetched line sets across
     streamed segments (memory bounded by the *footprint*, not the trace
-    length), then reconstructs the region map with the same
-    classification rules the materializing importer uses.  Each block's
-    unique lines are queued and merged only once the queue outgrows the
-    merged set, so the scan's cost does not grow with the block count.
+    length), then classifies them with
+    :func:`~repro.workloads.imports.regions_from_line_sets`, as the
+    materializing importer does.  Each block's unique lines are queued
+    and merged only once the queue outgrows the merged set, so the
+    scan's cost does not grow with the block count.
     """
 
     def __init__(self, num_cores: int):
@@ -467,24 +494,11 @@ class _RegionScan:
                 line_set.add(lines[mask])
 
     def regions(self) -> "list[tuple[Region, LineClass]]":
-        cores = []
-        for core_sets in self._sets:
-            data, written, fetched = (line_set.lines() for line_set in core_sets)
-            # Rebuild a minimal per-core trace carrying exactly the
-            # (unique line, kind) facts infer_regions consumes: one READ
-            # per data line, one WRITE per written line, one IFETCH per
-            # fetched line.
-            types = np.concatenate((
-                np.full(len(data), int(AccessType.READ), dtype=np.uint8),
-                np.full(len(written), int(AccessType.WRITE), dtype=np.uint8),
-                np.full(len(fetched), int(AccessType.IFETCH), dtype=np.uint8),
-            ))
-            lines = np.concatenate((data, written, fetched))
-            cores.append(CoreTrace(
-                types=types, lines=lines,
-                gaps=np.zeros(len(lines), dtype=np.uint16),
-            ))
-        return infer_regions(cores)
+        data, written, fetched = (
+            [core_sets[kind].lines() for core_sets in self._sets]
+            for kind in range(3)
+        )
+        return regions_from_line_sets(data, written, fetched)
 
 
 class _LineSet:
@@ -494,13 +508,27 @@ class _LineSet:
         self.merged, self.queue, self.queued = np.empty(0, dtype=np.int64), [], 0
 
     def add(self, lines: np.ndarray) -> None:
-        self.queue.append(np.unique(lines))
+        self.queue.append(_sorted_unique(lines))
         self.queued += len(self.queue[-1])
         if self.queued >= len(self.merged):
             self.lines()
 
     def lines(self) -> np.ndarray:
         if self.queue:
-            self.merged = np.unique(np.concatenate([self.merged, *self.queue]))
+            self.merged = _sorted_unique(np.concatenate([self.merged, *self.queue]))
             self.queue, self.queued = [], 0
         return self.merged
+
+
+def _sorted_unique(lines: np.ndarray) -> np.ndarray:
+    """``np.unique(lines)``, by sorting.
+
+    numpy's hash-based ``unique`` took ~13x longer on a 16K-line block of
+    a hot-set capture (570 against 42 us, numpy 2.4), and it holds the
+    interpreter lock that pass 1's reader thread needs.
+    """
+    lines = np.sort(lines)
+    keep = np.empty(lines.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    return lines[keep]

@@ -15,6 +15,7 @@ from repro.workloads.champsim_bin import (
     iter_access_segments,
     iter_instruction_blocks,
     read_champsim_bin,
+    split_block,
     synthesize_champsim_bin,
     write_champsim_bin,
 )
@@ -149,6 +150,31 @@ class TestSplit:
         # Block 2 starts at instruction 3 -> core 1 first.
         assert list(segments[1][0][1]) == [5]
         assert list(segments[1][1][1]) == [4, 6]
+
+    @pytest.mark.parametrize("num_cores", [1, 3, 4, 64])
+    @pytest.mark.parametrize("first", [0, 5, 130])
+    def test_split_matches_a_per_instruction_loop(self, num_cores, first):
+        rng = np.random.default_rng(num_cores * 1000 + first)
+        block = np.zeros(200, dtype=RECORD_DTYPE)
+        used = rng.random((200, 6)) < 0.3
+        addresses = rng.integers(1, 1 << 48, size=(200, 6), dtype=np.uint64) * used
+        block["src_mem"] = addresses[:, :4]
+        block["dst_mem"] = addresses[:, 4:]
+        expected = [([], []) for _ in range(num_cores)]
+        for i, record in enumerate(block):
+            types, lines = expected[(first + i) % num_cores]
+            for kind, slots in ((R, record["src_mem"]), (W, record["dst_mem"])):
+                for address in slots.tolist():
+                    if address:
+                        types.append(int(kind))
+                        lines.append(address >> 6)
+        segment = split_block(block, first, num_cores, line_shift=6)
+        assert len(segment) == num_cores
+        for (types, lines, gaps), (want_types, want_lines) in zip(segment, expected):
+            assert types.dtype == np.uint8 and lines.dtype == np.int64
+            assert types.tolist() == want_types
+            assert lines.tolist() == want_lines
+            assert gaps.dtype == np.uint16 and not gaps.any() and len(gaps) == len(lines)
 
     def test_empty_capture_rejected(self, tmp_path):
         path = _write_raw(tmp_path / "cap.trace", _records([([], [])]))

@@ -3,15 +3,18 @@ façade, and the chunk-boundary handoff cases that must stay bit-exact."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.types import AccessType
+from repro.common.addr import Region
+from repro.common.types import AccessType, LineClass
 from repro.sim.simulator import simulate
-from repro.workloads import champsim_bin
-from repro.workloads.imports import infer_regions
+from repro.workloads import champsim_bin, streaming
+from repro.workloads.imports import ImportOptions, import_trace, infer_regions
 from repro.workloads.streaming import (
     DEFAULT_QUEUE_DEPTH,
     ArraySegmentSource,
@@ -21,7 +24,7 @@ from repro.workloads.streaming import (
     _RegionScan,
     stream_chunk_records,
 )
-from repro.workloads.trace import CoreTrace
+from repro.workloads.trace import CoreTrace, TraceSet
 
 from tests.helpers import FixedLatencyEngine, records_trace_set, streamed_view
 
@@ -272,6 +275,92 @@ class TestFixedDecodeBlocks:
         assert blocks == [4096, 4096]
 
 
+def _decode_threads() -> set:
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name == "repro-stream-decode"
+    }
+
+
+class TestPassOneReader:
+    """Pass 1 decompresses on the reader thread; its results must not
+    depend on that."""
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("block", [1, 7, 4096, None])
+    def test_overlap_scan_equals_serial_scan(self, tmp_path, monkeypatch, block, capped):
+        if block is None:
+            block = champsim_bin.BLOCK_INSTRUCTIONS
+        monkeypatch.setattr(champsim_bin, "BLOCK_INSTRUCTIONS", block)
+        path = tmp_path / "cap.trace.xz"
+        champsim_bin.synthesize_champsim_bin(
+            path, max(2 * block + 5, 300), seed=block, footprint_lines=2048,
+            write_fraction=0.3,
+        )
+        # A budget that lands mid-block (block 1 has no middle).
+        cap = block + block // 2 + 1 if capped else None
+        before = _decode_threads()
+        serial = StreamingTraceSet.from_champsim_bin(
+            path, num_cores=4, max_instructions=cap, overlap=False
+        )
+        overlapped = StreamingTraceSet.from_champsim_bin(
+            path, num_cores=4, max_instructions=cap, overlap=True
+        )
+        assert _decode_threads() <= before
+        assert overlapped.regions == serial.regions
+        assert overlapped.total_records == serial.total_records
+        assert overlapped.provenance == serial.provenance
+        imported = import_trace(
+            path, fmt="champsim-bin",
+            options=ImportOptions(num_cores=4, max_records=cap),
+        )
+        assert overlapped.regions == imported.regions
+        assert overlapped.total_records == imported.total_accesses()
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(champsim_bin, "BLOCK_INSTRUCTIONS", 7)
+
+    def test_truncated_capture_raises(self, tmp_path, small_blocks):
+        path = tmp_path / "cap.trace"
+        champsim_bin.synthesize_champsim_bin(path, 100, seed=3, footprint_lines=512)
+        path.write_bytes(path.read_bytes()[:-7])
+        before = _decode_threads()
+        with pytest.raises(champsim_bin.ChampSimBinError, match="truncated"):
+            StreamingTraceSet.from_champsim_bin(path, num_cores=4, overlap=True)
+        assert _decode_threads() <= before
+
+    def test_corrupt_capture_raises(self, tmp_path, small_blocks):
+        path = tmp_path / "cap.trace.xz"
+        champsim_bin.synthesize_champsim_bin(path, 3000, seed=3, footprint_lines=512)
+        data = bytearray(path.read_bytes())
+        middle = len(data) // 2
+        data[middle:middle + 64] = bytes(64)
+        path.write_bytes(bytes(data))
+        before = _decode_threads()
+        with pytest.raises(champsim_bin.ChampSimBinError, match="corrupt"):
+            StreamingTraceSet.from_champsim_bin(path, num_cores=4, overlap=True)
+        assert _decode_threads() <= before
+
+    def test_reader_is_closed_when_the_scan_raises(self, tmp_path, small_blocks, monkeypatch):
+        path = tmp_path / "cap.trace.xz"
+        champsim_bin.synthesize_champsim_bin(path, 3000, seed=3, footprint_lines=512)
+        split = champsim_bin.split_block
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("scan failed")
+            return split(*args)
+
+        monkeypatch.setattr(champsim_bin, "split_block", failing)
+        before = _decode_threads()
+        with pytest.raises(RuntimeError, match="scan failed"):
+            StreamingTraceSet.from_champsim_bin(path, num_cores=4, overlap=True)
+        assert _decode_threads() <= before
+
+
 class TestRegionScan:
     @given(
         cores=st.lists(
@@ -339,6 +428,51 @@ class TestStreamingTraceSet:
         with pytest.raises(KeyError):
             streamed.classify(1 << 20)
         streamed.validate_coverage()
+
+    @given(
+        spans=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(1, 6),
+                      st.sampled_from(list(LineClass))),
+            max_size=12,
+        ),
+        order=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lazy_classify_matches_the_materialized_set(self, spans, order):
+        regions, base = [], 0
+        for gap, size, line_class in spans:
+            base += gap
+            regions.append((Region(base, size), line_class))
+            base += size
+        order.shuffle(regions)  # the index must not rely on map order
+        materialized = TraceSet("r", [], regions)
+        streamed = StreamingTraceSet(
+            name="r", num_cores=1, regions=regions, source_factory=lambda: None
+        )
+        assert "_class_index" not in vars(streamed)  # built on first use
+        for line in range(base + 3):
+            try:
+                expected = materialized.classify(line)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    streamed.classify(line)
+            else:
+                assert streamed.classify(line) == expected
+
+    def test_region_bounds_are_built_once_per_set(self, monkeypatch):
+        calls = []
+        bounds = streaming.region_bounds
+
+        def counted(regions):
+            calls.append(regions)
+            return bounds(regions)
+
+        monkeypatch.setattr(streaming, "region_bounds", counted)
+        traces = records_trace_set([[(R, i, 1) for i in range(6)]])
+        streamed = streamed_view(traces, chunk_records=2)
+        for _run in range(3):
+            simulate(FixedLatencyEngine(1), streamed)
+        assert len(calls) == 1
 
     def test_gaps_integral_reflects_the_arrays(self):
         import dataclasses
