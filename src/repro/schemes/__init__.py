@@ -1,7 +1,7 @@
 """LLC management schemes: the locality-aware protocol and all baselines."""
 
 from repro.schemes.asr import ASRScheme
-from repro.schemes.base import AccessResult, LocalHit, ProtocolEngine, ProtocolObserver
+from repro.schemes.base import LocalHit, ProtocolEngine, ProtocolObserver
 from repro.schemes.factory import FIGURE_SCHEMES, make_scheme, scheme_builder
 from repro.schemes.locality import LocalityAwareScheme
 from repro.schemes.rnuca import RNucaScheme
@@ -10,7 +10,6 @@ from repro.schemes.victim import VictimReplicationScheme
 
 __all__ = [
     "ASRScheme",
-    "AccessResult",
     "FIGURE_SCHEMES",
     "LocalHit",
     "LocalityAwareScheme",

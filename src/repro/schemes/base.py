@@ -26,7 +26,6 @@ but do not stall the requester.
 
 from __future__ import annotations
 
-import dataclasses
 from functools import partial
 from typing import Optional
 
@@ -54,18 +53,6 @@ MODIFIED = MESIState.MODIFIED
 LLC_REPLICA_HIT = MissStatus.LLC_REPLICA_HIT
 LLC_HOME_HIT = MissStatus.LLC_HOME_HIT
 OFF_CHIP_MISS = MissStatus.OFF_CHIP_MISS
-
-
-@dataclasses.dataclass(slots=True)
-class AccessResult:
-    """Outcome of one memory access."""
-
-    latency: float
-    status: MissStatus
-    #: MESI state granted to the L1 copy.
-    state: MESIState = MESIState.SHARED
-    #: Whether the granted data is dirty (VR moves dirty replicas to L1).
-    dirty: bool = False
 
 
 #: A local replica hit as :meth:`ProtocolEngine.local_lookup` returns it:
@@ -141,6 +128,21 @@ class ProtocolEngine:
         self._observe_access = self.placement.observe_access if learns else None
         #: Only engines that look replicas up keep any (not S-NUCA, R-NUCA).
         self._holds_replicas = type(self).local_lookup is not ProtocolEngine.local_lookup
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        """Reject a scheme that redefines the per-access body.
+
+        The kernels run :meth:`make_fast_access`'s closure, never
+        :meth:`access`, so an override of either would be bypassed or
+        would fork the protocol; schemes extend the body through hooks.
+        """
+        super().__init_subclass__(**kwargs)
+        for name in ("access", "make_fast_access"):
+            if name in vars(cls):
+                raise TypeError(
+                    f"{cls.__name__} redefines ProtocolEngine.{name}; extend "
+                    "the access path through the scheme hooks instead"
+                )
 
     # ------------------------------------------------------------------
     # Scheme hooks
@@ -225,60 +227,34 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # Top-level access path
     # ------------------------------------------------------------------
-    def access(self, core: int, atype: AccessType, line_addr: int, now: float) -> AccessResult:
-        """Process one memory reference from ``core`` at time ``now``."""
-        is_ifetch = atype == AccessType.IFETCH
-        write = atype == AccessType.WRITE
-        l1 = self.l1i[core] if is_ifetch else self.l1d[core]
-        self._l1_energy(is_ifetch, read=True)
-        entry = l1.probe_hit(line_addr, write)
-        if entry is not None:
-            if write:
-                entry.state = MESIState.MODIFIED
-                entry.dirty = True
-                self._l1_energy(is_ifetch, read=False)
-            self.stats.record_miss(MissStatus.L1_HIT)
-            self.stats.add_latency(stat_names.L1_HIT_TIME, self.config.l1_latency)
-            self.stats.bump("l1i_hits" if is_ifetch else "l1d_hits")
-            if self.config.tla_hints:
-                self._maybe_send_tla_hint(core, line_addr, is_ifetch, now)
-            return AccessResult(self.config.l1_latency, MissStatus.L1_HIT)
+    def access(self, core: int, atype: AccessType, line_addr: int, now: float) -> float:
+        """Process one memory reference from ``core`` at time ``now``.
 
-        self.stats.bump("l1i_misses" if is_ifetch else "l1d_misses")
-        latency, status, state, dirty = self._handle_l1_miss(
-            core, line_addr, write, is_ifetch, now
-        )
-        # The fill (and any L1 eviction it triggers) is timestamped at the
-        # *issue* time, not issue + latency: off-critical-path messages must
-        # not reserve mesh links ahead of the global simulation frontier,
-        # or critical-path traffic would queue behind reservations for
-        # links that are actually idle (a runaway-feedback artifact).
-        self._fill_l1(core, line_addr, state, write, is_ifetch, now, dirty=dirty)
-        self.stats.record_miss(status)
-        total = latency + self.config.l1_latency
-        self.stats.add_latency(stat_names.L1_HIT_TIME, self.config.l1_latency)
-        return AccessResult(total, status, state)
+        Returns its latency.  A thin entry for one-off callers such as
+        unit tests: it runs the closure :meth:`make_fast_access` builds,
+        which the kernels take once per run instead.  ``atype`` may be a
+        plain int; the closure itself compares enum members by identity.
+        """
+        return self.make_fast_access()(core, AccessType(atype), line_addr, now)
 
     def make_fast_access(self):
-        """Specialized access entry point for the fast simulation kernel.
+        """The engine's one per-access body, as a closure.
 
-        A closure with the semantics of :meth:`access` that runs the miss
-        half (:meth:`_handle_l1_miss`, :meth:`_fill_l1`) inline, pre-binds
-        every per-call attribute lookup and returns only the latency (the
-        stats side effects are identical — the differential harness in
-        :mod:`repro.testing` enforces this).  ``None`` when a method it
-        inlines (those two, :meth:`access`, :meth:`_l1_energy`) is
-        overridden, on the subclass or the instance, so the kernel falls
-        back to the generic path instead of bypassing the override.  The
-        hooks it calls (:meth:`local_lookup`, :meth:`_home_request`,
-        :meth:`handle_l1_eviction`, :meth:`_maybe_send_tla_hint`) are
-        bound methods, so their overrides need no guard.
+        ``fast_access(core, atype, line_addr, now)`` processes one memory
+        reference and returns its latency: the L1 probe, and on a miss the
+        local lookup, the home request, the L1 fill and the eviction
+        dispatch, with every per-call attribute lookup bound up front.
+        Schemes change it only through the hooks it calls as bound
+        methods (:meth:`local_lookup`, :meth:`_home_request`,
+        :meth:`handle_l1_eviction`, :meth:`_maybe_send_tla_hint`);
+        :meth:`__init_subclass__` rejects a subclass that redefines this
+        method or :meth:`access`.
         """
-        for method in ("access", "_l1_energy", "_handle_l1_miss", "_fill_l1"):
-            if method in self.__dict__ or (
-                getattr(type(self), method) is not getattr(ProtocolEngine, method)
-            ):
-                return None
+        if "access" in vars(self):
+            raise TypeError(
+                f"{type(self).__name__} instance overrides access(); the "
+                "kernels run make_fast_access()'s closure and would bypass it"
+            )
         config = self.config
         l1_latency = config.l1_latency
         tla_hints = config.tla_hints
@@ -323,12 +299,14 @@ class ProtocolEngine:
                     send_tla_hint(core, line_addr, is_ifetch, now)
                 return l1_latency
             counters["l1i_misses" if is_ifetch else "l1d_misses"] += 1
-            # _handle_l1_miss, inlined.
             hit, probe_cost = local_lookup(core, line_addr, write, is_ifetch, now) \
                 if local_lookup is not None else (None, 0.0)
             if probe_cost:
                 latency_buckets[L1_TO_LLC_REPLICA] += probe_cost
             if hit is None:
+                # A replica backing the new L1 copy was marked by
+                # local_lookup (hit) or create_replica (home fill); any
+                # other one was hit or removed.
                 latency, status, state = home_request(
                     core, line_addr, write, is_ifetch, now + probe_cost)
                 dirty = False
@@ -338,7 +316,11 @@ class ProtocolEngine:
                     observer.on_replica_access(core, line_addr, write)
                 latency, state, dirty = hit
                 status = LLC_REPLICA_HIT
-            # _fill_l1, inlined.
+            # The fill (and any L1 eviction it triggers) is timestamped at
+            # the *issue* time, not issue + latency: off-critical-path
+            # messages must not reserve mesh links ahead of the global
+            # simulation frontier, or critical-path traffic would queue
+            # behind reservations for links that are actually idle.
             entry, victim = l1.fill(line_addr, state)
             if dirty:
                 entry.dirty = True
@@ -358,29 +340,6 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # Miss handling
     # ------------------------------------------------------------------
-    def _handle_l1_miss(
-        self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
-    ) -> tuple[float, MissStatus, MESIState, bool]:
-        """Service an L1 miss at a local replica or the home.
-
-        Returns ``(latency, status, granted_state, dirty)``.
-        """
-        hit, probe_cost = self.local_lookup(core, line_addr, write, is_ifetch, now)
-        if probe_cost:
-            self._latency[stat_names.L1_TO_LLC_REPLICA] += probe_cost
-        if hit is not None:
-            self._counters["llc_replica_hits"] += 1
-            if self.observer is not None:
-                self.observer.on_replica_access(core, line_addr, write)
-            latency, state, dirty = hit
-            return probe_cost + latency, LLC_REPLICA_HIT, state, dirty
-        # A replica backing the new L1 copy was marked by local_lookup (hit)
-        # or create_replica (home fill); any other one was hit or removed.
-        total, status, grant = self._home_request(
-            core, line_addr, write, is_ifetch, now + probe_cost
-        )
-        return total + probe_cost, status, grant, False
-
     def _home_request(
         self, core: int, line_addr: int, write: bool, is_ifetch: bool, now: float
     ) -> tuple[float, MissStatus, MESIState]:
@@ -707,30 +666,8 @@ class ProtocolEngine:
             self.stats.energy_event(energy_events.DIR_WRITE)
 
     # ------------------------------------------------------------------
-    # L1 fills and evictions
+    # L1 evictions
     # ------------------------------------------------------------------
-    def _fill_l1(
-        self,
-        core: int,
-        line_addr: int,
-        state: MESIState,
-        write: bool,
-        is_ifetch: bool,
-        now: float,
-        dirty: bool = False,
-    ) -> None:
-        l1 = self.l1i[core] if is_ifetch else self.l1d[core]
-        entry, victim = l1.fill(line_addr, state)
-        if dirty:
-            entry.dirty = True
-        if write:
-            entry.state = MODIFIED
-            entry.dirty = True
-        self._l1_energy(is_ifetch, read=False)
-        if victim is not None:
-            self._counters["l1_evictions"] += 1
-            self.handle_l1_eviction(core, victim, is_ifetch, now)
-
     def handle_l1_eviction(self, core: int, victim: L1Line, is_ifetch: bool, now: float) -> None:
         """Dispose of an L1 victim (scheme hook; overrides fall back here).
 
@@ -825,13 +762,6 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     # Misc helpers
     # ------------------------------------------------------------------
-    def _l1_energy(self, is_ifetch: bool, read: bool) -> None:
-        if is_ifetch:
-            event = energy_events.L1I_READ if read else energy_events.L1I_WRITE
-        else:
-            event = energy_events.L1D_READ if read else energy_events.L1D_WRITE
-        self._energy_counts[event] += 1
-
     def finalize(self) -> None:
         """Fold network/DRAM hardware counters into the energy counts."""
         self.stats.energy_counts[energy_events.ROUTER_FLIT] = self.mesh.router_flit_traversals

@@ -3,25 +3,25 @@
 :func:`repro.sim.simulator.simulate` drives a :class:`ProtocolEngine`
 through a trace set via a *kernel* — the event loop that pops the
 next-ready core off a heap, charges its compute gap, issues the access
-and reschedules it.  Two interchangeable kernels implement that loop:
+and reschedules it.  Both kernels issue every access through the
+engine's one per-access body, the closure
+:meth:`~repro.schemes.base.ProtocolEngine.make_fast_access` returns,
+taken once per run; they differ only in the event loop around it:
 
 * :class:`ReferenceKernel` — the original, deliberately simple loop.  It
   reads each record straight out of the numpy arrays and goes through
   the heap for every event.  This is the semantic baseline the fast
-  kernel must match bit-for-bit.
+  loop must match bit-for-bit.
 
-* :class:`FastKernel` — the optimized hot path, and the only loop that
+* :class:`FastKernel` — the optimized loop, and the only one that
   consumes streamed traces.  It executes each core out of decoded
   *windows* (:class:`~repro.workloads.trace.DecodedTrace`) pulled from
   the set's ``open_source()``: a materialized
   :class:`~repro.workloads.trace.TraceSet` and a
   :class:`~repro.workloads.streaming.StreamingTraceSet` both hand over
   bounded chunks of ``REPRO_STREAM_CHUNK`` records per core, decoded as
-  they arrive.  Records are issued through the
-  engine's specialized access closure
-  (:meth:`~repro.schemes.base.ProtocolEngine.make_fast_access`), and a
-  popped core runs *inline* for as long as it remains globally earliest,
-  skipping heap push/pop pairs entirely.
+  they arrive.  A popped core runs *inline* for as long as it remains
+  globally earliest, skipping heap push/pop pairs entirely.
 
 Both kernels produce **identical** :class:`~repro.sim.stats.SimStats` —
 not merely statistically equivalent: the fast kernel processes events in
@@ -30,8 +30,8 @@ accumulation it batches (the Compute bucket, once per window) is a sum
 of integer-valued cycle counts (order-independent), and the per-event
 clock arithmetic keeps the reference's exact operation grouping (float
 addition is not associative).  The :mod:`repro.testing` differential
-harness enforces this equivalence across schemes, workloads and seeds —
-and nightly over randomized fuzzed profiles.
+harness enforces this equivalence of the event loops across schemes,
+workloads and seeds — and nightly over randomized fuzzed profiles.
 
 *Refilling a starved window preserves global event order.*  Only the
 popped core — the globally earliest — can exhaust its window, and no
@@ -109,7 +109,7 @@ class _ReferenceState:
         traces: "TraceSet",
         rng: random.Random | None = None,
     ) -> None:
-        self.engine = engine
+        self.access = engine.make_fast_access()
         self.traces = traces
         self.stats = engine.stats
         self.rng = rng
@@ -148,8 +148,8 @@ class _ReferenceState:
             self.stats.add_latency(stat_names.COMPUTE, gap)
         issue_time = now + gap
         atype = AccessType(trace.types[index])
-        result = self.engine.access(core, atype, int(trace.lines[index]), issue_time)
-        heapq.heappush(self.ready, (issue_time + result.latency, core))
+        latency = self.access(core, atype, int(trace.lines[index]), issue_time)
+        heapq.heappush(self.ready, (issue_time + latency, core))
 
     def _maybe_release_barrier(self) -> None:
         """Release parked cores once every running core has arrived."""
@@ -177,8 +177,9 @@ class _ReferenceState:
 class FastKernel(SimulationKernel):
     """Hoisted, run-ahead window loop — bit-identical to the reference.
 
-    Optimizations over :class:`ReferenceKernel` (each preserves event
-    order and exact arithmetic; see the module docstring):
+    It runs the same engine closure as :class:`ReferenceKernel`; its
+    optimizations are all in the event loop (each preserves event order
+    and exact arithmetic; see the module docstring):
 
     1. per-core :class:`DecodedTrace` windows kill numpy scalar
        extraction and ``AccessType(...)`` construction in the loop; a
@@ -187,10 +188,7 @@ class FastKernel(SimulationKernel):
     2. when every gap of the set is integer-valued, the Compute bucket is
        charged once per window from its precomputed non-barrier gap sum
        (fractional gaps are charged per record, in reference order);
-    3. the engine's :meth:`make_fast_access` closure (when available)
-       replaces the generic ``access()`` entry point, with attribute
-       lookups and result-object construction hoisted out;
-    4. a popped core keeps executing inline while its next event time is
+    3. a popped core keeps executing inline while its next event time is
        earlier than the heap front, eliminating push/pop pairs (a large
        win whenever one core runs ahead of or behind the pack).
 
@@ -204,17 +202,7 @@ class FastKernel(SimulationKernel):
         stats = engine.stats
         num_cores = engine.config.num_cores
         pull, close, batch_compute = _open_windows(traces)
-
-        fast_access = None
-        maker = getattr(engine, "make_fast_access", None)
-        if maker is not None:
-            fast_access = maker()
-        if fast_access is None:
-            engine_access = engine.access
-
-            def fast_access(core, atype, line_addr, now, _access=engine_access):
-                return _access(core, atype, line_addr, now).latency
-
+        access = engine.make_fast_access()
         add_latency = stats.add_latency
         core_finish = stats.core_finish
         heappush, heappop = heapq.heappush, heapq.heappop
@@ -291,7 +279,7 @@ class FastKernel(SimulationKernel):
                     if gap and not batch_compute:
                         add_latency(COMPUTE, gap)
                     issue_time = now + gap
-                    now = issue_time + fast_access(
+                    now = issue_time + access(
                         core, atype, core_lines[index - 1], issue_time
                     )
                     if ready and ready[0] < (now, core):

@@ -14,7 +14,7 @@ ships with the machinery to prove it correct:
 
 * :mod:`repro.testing.fuzz` — randomized benchmark profiles for
   differential fuzzing beyond the checked-in workloads; drives
-  :func:`verify_all_kernels` from the ``python -m repro testing
+  :func:`verify_kernels` from the ``python -m repro testing
   verify-kernels --fuzz N`` CLI, which the nightly CI schedules and
   whose failure bundles reproduce locally via ``--repro``.
 
@@ -37,7 +37,6 @@ from repro.testing.differential import (
     locate_first_divergence,
     stats_diff,
     truncated_traces,
-    verify_all_kernels,
     verify_kernels,
 )
 from repro.testing.golden import GoldenMismatch, GoldenStore
@@ -62,7 +61,6 @@ __all__ = [
     "locate_first_divergence",
     "stats_diff",
     "truncated_traces",
-    "verify_all_kernels",
     "verify_kernels",
     "with_prepended_barriers",
 ]

@@ -6,8 +6,8 @@ Usage::
     python -m repro testing verify-kernels --fuzz 25 --seed 7   # randomized profiles
     python -m repro testing verify-kernels --repro case-7.json  # replay a bundle
 
-``verify-kernels`` differentially verifies every registered simulation
-kernel (currently ``fast``) against the reference event loop:
+``verify-kernels`` differentially verifies the ``fast`` simulation
+kernel (or ``--kernel``) against the reference event loop:
 
 * with no options, over the same three checked-in workload regimes the
   tier-1 differential suite pins (quick sanity run);
@@ -31,7 +31,7 @@ from repro.common.params import MachineConfig
 from repro.schemes.factory import make_scheme
 from repro.sim.kernel import kernel_names
 from repro.testing import fuzz
-from repro.testing.differential import DifferentialMismatch, verify_all_kernels
+from repro.testing.differential import DifferentialMismatch, verify_kernels
 from repro.workloads.benchmarks import build_trace, get_profile
 
 #: The checked-in verification matrix (mirrors tests/testing).
@@ -52,17 +52,16 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify-kernels",
         aliases=["verify_kernels"],
-        help="differentially verify all simulation kernels",
+        help="differentially verify the fast kernel against the reference",
     )
     verify.add_argument("--fuzz", type=int, default=0, metavar="N",
                         help="verify N randomized profiles instead of the "
                              "checked-in matrix")
     verify.add_argument("--seed", type=int, default=1,
                         help="base seed for --fuzz case derivation")
-    verify.add_argument("--kernels", type=str, default=None,
-                        help="comma-separated candidate kernels "
-                             f"(default: all but reference — "
-                             f"{','.join(n for n in kernel_names() if n != 'reference')})")
+    verify.add_argument("--kernel", choices=tuple(kernel_names()), default="fast",
+                        help="candidate kernel compared with the reference "
+                             "(default: fast)")
     verify.add_argument("--machine", choices=("tiny", "small"), default="tiny",
                         help="machine configuration for fuzz cases")
     verify.add_argument("--out", type=Path, default=Path("fuzz-failures"),
@@ -89,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _candidates(args: argparse.Namespace) -> list[str] | None:
-    if args.kernels is None:
-        return None
-    return [name.strip() for name in args.kernels.split(",") if name.strip()]
-
-
 def _machine(args: argparse.Namespace) -> MachineConfig:
     return MachineConfig.small() if args.machine == "small" else MachineConfig.tiny()
 
@@ -111,27 +104,26 @@ def _run_repro(args: argparse.Namespace) -> int:
     case = fuzz.FuzzCase.from_bundle(bundle)
     print(f"replaying {case.describe()}")
     try:
-        fuzz.run_case(case, kernels=_candidates(args))
+        fuzz.run_case(case, kernel=args.kernel)
     except DifferentialMismatch as error:
         print(error)
         return 1
-    print("bundle no longer diverges (all kernels bit-identical)")
+    print("bundle no longer diverges (kernels bit-identical)")
     return 0
 
 
 def _run_checked_in(args: argparse.Namespace) -> int:
     config = _machine(args)
-    candidates = _candidates(args)
     status = 0
     for benchmark, scale, seed in CHECKED_IN_WORKLOADS:
         traces = build_trace(get_profile(benchmark), config, scale=scale, seed=seed)
         for scheme in CHECKED_IN_SCHEMES:
             context = f"scheme={scheme} workload={benchmark}"
             try:
-                stats = verify_all_kernels(
+                stats = verify_kernels(
                     lambda scheme=scheme: make_scheme(scheme, config),
                     traces,
-                    candidates=candidates,
+                    candidate=args.kernel,
                     context=context,
                 )
             except DifferentialMismatch as error:
@@ -147,7 +139,7 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         args.fuzz,
         args.seed,
         machine=args.machine,
-        kernels=_candidates(args),
+        kernel=args.kernel,
         out_dir=args.out,
         log=print,
     )

@@ -1,7 +1,8 @@
 """Differential kernel verification.
 
-The optimized ``fast`` simulation kernel claims bit-identical results
-to the reference loop.  This module makes that claim testable:
+The optimized ``fast`` event loop claims bit-identical results to the
+reference loop (both run the engine's one access closure, so what is
+compared is the event loops).  This module makes that claim testable:
 build the same engine per kernel, run the same traces through each, and
 diff every field of the resulting :class:`~repro.sim.stats.SimStats`.
 A non-empty diff is a kernel bug by definition — there is no tolerance,
@@ -11,10 +12,9 @@ and event order itself is preserved exactly.
 
 Typical use::
 
-    from repro.testing import verify_kernels, verify_all_kernels
+    from repro.testing import verify_kernels
 
     verify_kernels(lambda: make_scheme("RT-3", config), traces)
-    verify_all_kernels(lambda: make_scheme("RT-3", config), traces)
 
 ``verify_kernels`` raises :class:`DifferentialMismatch` with a readable
 report on any divergence.  Rather than dumping the whole-SimStats
@@ -29,8 +29,7 @@ under a small chunk also checks every window handoff.
 
 The randomized-profile fuzzing front-end lives in
 :mod:`repro.testing.fuzz` (CLI: ``python -m repro testing
-verify-kernels --fuzz N --seed S``), which the nightly CI runs across
-all registered kernels.
+verify-kernels --fuzz N --seed S``), which the nightly CI runs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ import numpy as np
 
 from repro.common.types import AccessType
 from repro.schemes.base import ProtocolEngine
-from repro.sim.kernel import kernel_names
 from repro.sim.simulator import simulate
 from repro.sim.stats import SimStats
 from repro.workloads.trace import CoreTrace, TraceSet
@@ -302,37 +300,6 @@ def verify_kernels(
         _raise_mismatch(
             engine_builder, traces, reference, candidate, diffs, context, locate
         )
-    return reference_stats
-
-
-def verify_all_kernels(
-    engine_builder: Callable[[], ProtocolEngine],
-    traces: TraceSet,
-    reference: str = "reference",
-    candidates: Iterable[str] | None = None,
-    context: str = "",
-    locate: bool | None = None,
-) -> SimStats:
-    """Verify every registered kernel against the reference in one call.
-
-    ``candidates`` defaults to all registered kernels except
-    ``reference`` (currently ``fast``), making this the check the
-    fuzzing CLI and nightly CI drive.  Returns the reference stats on success.
-    """
-    if candidates is None:
-        candidates = [name for name in kernel_names() if name != reference]
-    # The reference loop is the slowest kernel by far; simulate it once
-    # and diff every candidate against the same stats.
-    reference_stats = simulate(engine_builder(), traces, kernel=reference)
-    for candidate in candidates:
-        candidate_stats = simulate(engine_builder(), traces, kernel=candidate)
-        diffs = stats_diff(reference_stats, candidate_stats)
-        if diffs:
-            prefix = f"{context}: " if context else ""
-            _raise_mismatch(
-                engine_builder, traces, reference, candidate, diffs,
-                f"{prefix}{reference} vs {candidate}", locate,
-            )
     return reference_stats
 
 

@@ -5,7 +5,7 @@ regimes; this module generates *arbitrary* regimes from a seed — random
 access mixes, patterns, working-set pressures, barrier counts, bursts,
 schemes and machine parameters, plus occasional fractional compute gaps
 (which flip the kernels into per-record Compute accumulation) — and runs
-:func:`repro.testing.verify_all_kernels` over each.  A mismatch on any
+:func:`repro.testing.verify_kernels` over each.  A mismatch on any
 fuzzed case is a kernel bug, and the case is fully described by its
 integer seed: the failure bundle the CLI writes (profile parameters +
 seed + scheme) reproduces the exact simulation anywhere.
@@ -26,15 +26,14 @@ import dataclasses
 import json
 import random
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.common.params import MachineConfig
 from repro.schemes.factory import make_scheme
-from repro.sim.kernel import kernel_names
 from repro.sim.stats import SimStats
-from repro.testing.differential import DifferentialMismatch, verify_all_kernels
+from repro.testing.differential import DifferentialMismatch, verify_kernels
 from repro.workloads.benchmarks import BenchmarkProfile, build_trace
 from repro.workloads.trace import CoreTrace, TraceSet
 
@@ -236,19 +235,19 @@ def build_case_traces(case: FuzzCase, config: MachineConfig) -> TraceSet:
 def run_case(
     case: FuzzCase,
     config: MachineConfig | None = None,
-    kernels: Iterable[str] | None = None,
+    kernel: str = "fast",
 ) -> SimStats:
-    """Differentially verify one case across ``kernels`` (default: all).
+    """Differentially verify one case: ``kernel`` against the reference.
 
     Raises :class:`DifferentialMismatch` (with the first cycle-stamped
     divergent field localized) on any disagreement.
     """
     machine = config if config is not None else case.config()
     traces = build_case_traces(case, machine)
-    return verify_all_kernels(
+    return verify_kernels(
         lambda: make_scheme(case.scheme, machine),
         traces,
-        candidates=kernels,
+        candidate=kernel,
         context=case.describe(),
     )
 
@@ -363,19 +362,16 @@ def run_fuzz(
     count: int,
     seed: int,
     machine: str = "tiny",
-    kernels: Iterable[str] | None = None,
+    kernel: str = "fast",
     out_dir: Path | None = None,
     log=None,
 ) -> FuzzReport:
     """Run ``count`` randomized cases; collect (and optionally bundle)
     every mismatch instead of stopping at the first."""
-    kernel_list = list(kernels) if kernels is not None else [
-        name for name in kernel_names() if name != "reference"
-    ]
     report = FuzzReport()
     for case in iter_cases(count, seed, machine=machine):
         try:
-            stats = run_case(case, kernels=kernel_list)
+            stats = run_case(case, kernel=kernel)
         except DifferentialMismatch as error:
             report.failed.append((case, error))
             if out_dir is not None:

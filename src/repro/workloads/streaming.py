@@ -59,6 +59,7 @@ from repro.workloads import champsim_bin
 from repro.workloads.imports import (
     TraceImportError,
     regions_from_line_sets,
+    sorted_unique,
     trace_content_hash,
 )
 from repro.workloads.trace import TraceSet, check_coverage, region_bounds
@@ -508,27 +509,14 @@ class _LineSet:
         self.merged, self.queue, self.queued = np.empty(0, dtype=np.int64), [], 0
 
     def add(self, lines: np.ndarray) -> None:
-        self.queue.append(_sorted_unique(lines))
+        self.queue.append(sorted_unique(lines))
         self.queued += len(self.queue[-1])
         if self.queued >= len(self.merged):
             self.lines()
 
     def lines(self) -> np.ndarray:
         if self.queue:
-            self.merged = _sorted_unique(np.concatenate([self.merged, *self.queue]))
+            self.merged = sorted_unique(np.concatenate([self.merged, *self.queue]))
             self.queue, self.queued = [], 0
         return self.merged
 
-
-def _sorted_unique(lines: np.ndarray) -> np.ndarray:
-    """``np.unique(lines)``, by sorting.
-
-    numpy's hash-based ``unique`` took ~13x longer on a 16K-line block of
-    a hot-set capture (570 against 42 us, numpy 2.4), and it holds the
-    interpreter lock that pass 1's reader thread needs.
-    """
-    lines = np.sort(lines)
-    keep = np.empty(lines.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    return lines[keep]

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import types
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.cache.entries import HomeEntry, ReplicaEntry
 from repro.common.addr import Region
 from repro.common.types import AccessType, LineClass, MESIState, MissStatus
-from repro.schemes.base import AccessResult, ProtocolEngine
+from repro.schemes.base import ProtocolEngine
 from repro.sim.stats import SimStats
 from repro.workloads.streaming import ArraySegmentSource, StreamingTraceSet
 from repro.workloads.trace import CoreTrace, TraceSet
@@ -32,10 +33,13 @@ class FixedLatencyEngine:
         self.latency = latency
         self.calls: list[tuple[int, int, int, float]] = []
 
-    def access(self, core: int, atype: AccessType, line_addr: int, now: float) -> AccessResult:
+    def access(self, core: int, atype: AccessType, line_addr: int, now: float) -> float:
         self.calls.append((core, int(atype), line_addr, now))
         self.stats.record_miss(MissStatus.L1_HIT)
-        return AccessResult(self.latency, MissStatus.L1_HIT)
+        return self.latency
+
+    def make_fast_access(self):
+        return self.access
 
     def finalize(self) -> None:
         pass
@@ -78,12 +82,32 @@ def streamed_view(
     )
 
 
+class Access(NamedTuple):
+    """One access as a test sees it: its latency and how it was served."""
+
+    latency: float
+    status: MissStatus
+
+
+def access_once(
+    engine: ProtocolEngine, core: int, atype: AccessType, line_addr: int, now: float
+) -> Access:
+    """Run one access; its status is the ``miss_status`` entry it bumped."""
+    before = dict(engine.stats.miss_status)
+    latency = engine.access(core, atype, line_addr, now)
+    (status,) = [
+        status for status, count in engine.stats.miss_status.items()
+        if count != before.get(status, 0)
+    ]
+    return Access(latency, status)
+
+
 def drive(
     engine: ProtocolEngine,
     accesses: list[tuple[int, AccessType, int]],
     start_time: float = 0.0,
     step: float = 100.0,
-) -> list[AccessResult]:
+) -> list[Access]:
     """Feed a hand-written access sequence through the engine.
 
     Accesses are spaced ``step`` cycles apart, which keeps timestamps
@@ -92,7 +116,7 @@ def drive(
     results = []
     now = start_time
     for core, atype, line in accesses:
-        results.append(engine.access(core, atype, line, now))
+        results.append(access_once(engine, core, atype, line, now))
         now += step
     return results
 

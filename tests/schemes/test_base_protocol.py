@@ -215,10 +215,8 @@ class TestMissPathDispatchTax:
 
     @pytest.mark.parametrize("function", [
         ProtocolEngine._home_request,
-        ProtocolEngine._handle_l1_miss,
         ProtocolEngine._service_read,
         ProtocolEngine._fetch_from_dram,
-        ProtocolEngine._fill_l1,
         ProtocolEngine.handle_l1_eviction,
         LocalityAwareScheme.local_lookup,
         ASRScheme.local_lookup,
@@ -233,15 +231,19 @@ class TestMissPathDispatchTax:
     def test_no_slow_lookups(self, function):
         assert self.SLOW_NAMES.isdisjoint(function.__code__.co_names)
 
+    @staticmethod
+    def _closure_names() -> set[str]:
+        """Attribute, global and bound names the per-access closure reads."""
+        code = VictimReplicationScheme(MachineConfig.tiny()).make_fast_access().__code__
+        return set(code.co_names) | set(code.co_freevars)
+
     def test_fast_closure_has_no_slow_lookups(self):
-        fast_access = SNucaScheme(MachineConfig.tiny()).make_fast_access()
-        assert self.SLOW_NAMES.isdisjoint(fast_access.__code__.co_names)
+        assert self.SLOW_NAMES.isdisjoint(self._closure_names())
 
     def test_no_dead_replica_probe_after_a_home_fill(self):
         """create_replica marks the replica it makes or finds, so the miss
         path never probes the slice again after the home transaction."""
-        names = ProtocolEngine._handle_l1_miss.__code__.co_names
-        assert {"slices", "replica", "replica_slice_for"}.isdisjoint(names)
+        assert {"slices", "replica", "replica_slice_for"}.isdisjoint(self._closure_names())
 
     def test_off_chip_fill_binds_the_sharer_tracker_once(self):
         assert "make_sharer_tracker" not in ProtocolEngine._fetch_from_dram.__code__.co_names
@@ -250,9 +252,17 @@ class TestMissPathDispatchTax:
         """A replica hit's local_lookup marks its replica and the home-fill
         path marks the one behind a home fill, so the L1 fill never
         re-probes the LLC slice."""
-        names = ProtocolEngine._fill_l1.__code__.co_names
-        assert {"slices", "replica", "replica_slice_for"}.isdisjoint(names)
+        assert {"slices", "replica", "replica_slice_for"}.isdisjoint(self._closure_names())
 
     def test_home_transaction_is_one_frame(self):
         assert not hasattr(ProtocolEngine, "_home_access")
         assert not hasattr(ProtocolEngine, "_resolve_home")
+
+
+class TestAccessEntry:
+    def test_plain_int_access_type_is_the_enum_member(self, tiny_config):
+        by_member, by_int = SNucaScheme(tiny_config), SNucaScheme(tiny_config)
+        by_member.access(0, AccessType.WRITE, 5, 0.0)
+        by_int.access(0, int(AccessType.WRITE), 5, 0.0)
+        assert by_int.l1d[0].lookup(5).state == MESIState.MODIFIED
+        assert by_int.stats.to_dict() == by_member.stats.to_dict()

@@ -19,7 +19,7 @@ from repro.common.types import AccessType, LineClass
 from repro.schemes.base import ProtocolObserver
 from repro.schemes.factory import make_scheme
 from repro.sim.simulator import simulate
-from repro.testing.differential import verify_all_kernels
+from repro.testing.differential import verify_kernels
 from repro.workloads.trace import CoreTrace, TraceSet
 
 REPLICATING_SCHEMES = ("VR", "ASR", "RT-1", "RT-3", "RT-8")
@@ -68,7 +68,7 @@ class TestReplicaRunBitIdentity:
     @pytest.mark.parametrize("scheme", REPLICATING_SCHEMES + ("S-NUCA", "R-NUCA"))
     def test_read_dominated_sweep(self, config, scheme):
         traces = replica_sweep_traces(config)
-        stats = verify_all_kernels(
+        stats = verify_kernels(
             lambda: make_scheme(scheme, config), traces, context=scheme
         )
         if scheme in REPLICATING_SCHEMES:
@@ -82,7 +82,7 @@ class TestReplicaRunBitIdentity:
         traces = replica_sweep_traces(
             config, write_frac=0.08, ifetch_frac=0.08, seed=17
         )
-        verify_all_kernels(
+        verify_kernels(
             lambda: make_scheme(scheme, config), traces, context=scheme
         )
 
@@ -94,7 +94,7 @@ class TestReplicaRunBitIdentity:
         traces = replica_sweep_traces(
             config, ws_x_l1d=3.0, write_frac=0.2, seed=29
         )
-        stats = verify_all_kernels(
+        stats = verify_kernels(
             lambda: make_scheme(scheme, config), traces, context=scheme
         )
         assert stats.counters["l1_evictions"] > 0
@@ -105,7 +105,7 @@ class TestReplicaRunBitIdentity:
         """Classifier churn: promotions via reuse, demotions via write
         invalidations."""
         traces = replica_sweep_traces(config, write_frac=0.1, seed=41)
-        stats = verify_all_kernels(
+        stats = verify_kernels(
             lambda: make_scheme(scheme, config), traces, context=scheme
         )
         assert stats.counters["promotions"] > 0
@@ -113,13 +113,13 @@ class TestReplicaRunBitIdentity:
     def test_sparse_classifier_organization(self, config):
         sparse = config.with_overrides(classifier_organization="sparse")
         traces = replica_sweep_traces(sparse, write_frac=0.05)
-        verify_all_kernels(
+        verify_kernels(
             lambda: make_scheme("RT-3", sparse), traces, context="sparse"
         )
 
     def test_oracle_lookup(self, config):
         traces = replica_sweep_traces(config)
-        verify_all_kernels(
+        verify_kernels(
             lambda: make_scheme("RT-3", config, oracle_lookup=True),
             traces,
             context="oracle",
@@ -129,14 +129,14 @@ class TestReplicaRunBitIdentity:
     def test_fractional_llc_latency(self, config):
         fractional = config.with_overrides(llc_tag_latency=1.5)
         traces = replica_sweep_traces(fractional, straggler_accesses=1500)
-        verify_all_kernels(
+        verify_kernels(
             lambda: make_scheme("RT-3", fractional), traces, context="fractional"
         )
 
     def test_cluster_replication(self, config):
         clustered = config.with_overrides(cluster_size=4)
         traces = replica_sweep_traces(clustered, straggler_accesses=1500)
-        verify_all_kernels(
+        verify_kernels(
             lambda: make_scheme("RT-3", clustered), traces, context="cluster"
         )
 

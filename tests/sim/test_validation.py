@@ -7,7 +7,7 @@ from repro.common.types import AccessType, MissStatus
 from repro.schemes.locality import LocalityAwareScheme
 from repro.schemes.snuca import SNucaScheme
 from repro.sim import validation
-from tests.helpers import drive, read
+from tests.helpers import access_once, drive, read
 
 
 @pytest.fixture
@@ -19,7 +19,7 @@ class TestL1Hit:
     def test_exact(self, config):
         engine = SNucaScheme(config)
         drive(engine, [read(0, 5)])
-        result = engine.access(0, AccessType.READ, 5, 1000.0)
+        result = access_once(engine, 0, AccessType.READ, 5, 1000.0)
         assert result.latency == validation.l1_hit_latency(config)
 
 
@@ -29,14 +29,14 @@ class TestHomeHits:
         # Line 4 homes at core 0; two priming readers leave it in clean S
         # with no exclusive owner to downgrade.
         drive(engine, [read(1, 4), read(2, 4)])
-        result = engine.access(0, AccessType.READ, 4, 10000.0)
+        result = access_once(engine, 0, AccessType.READ, 4, 10000.0)
         assert result.status == MissStatus.LLC_HOME_HIT
         assert result.latency == validation.local_home_hit_latency(config)
 
     def test_remote_home_hit_exact(self, config):
         engine = SNucaScheme(config)
         drive(engine, [read(1, 7), read(2, 7)])   # line 7 homes at core 3
-        result = engine.access(0, AccessType.READ, 7, 10000.0)
+        result = access_once(engine, 0, AccessType.READ, 7, 10000.0)
         assert result.status == MissStatus.LLC_HOME_HIT
         expected = validation.remote_home_hit_latency(config, requester=0, home=3)
         assert result.latency == expected
@@ -49,7 +49,7 @@ class TestHomeHits:
         # triggers the shared migration (and becomes exclusive owner at
         # the new home), and the third settles the line into clean S.
         drive(engine, [read(2, 103), read(1, 103), read(2, 103)])
-        result = engine.access(0, AccessType.READ, 103, 10000.0)
+        result = access_once(engine, 0, AccessType.READ, 103, 10000.0)
         assert result.status == MissStatus.LLC_HOME_HIT
         expected = validation.remote_home_hit_latency(
             tuned, requester=0, home=3, probe=True
@@ -65,7 +65,7 @@ class TestReplicaHit:
         drive(engine, [read(0, 101)], start_time=1000.0)  # replica created
         # Force the L1 copy out without touching the replica.
         engine.l1d[0].invalidate(101)
-        result = engine.access(0, AccessType.READ, 101, 50000.0)
+        result = access_once(engine, 0, AccessType.READ, 101, 50000.0)
         assert result.status == MissStatus.LLC_REPLICA_HIT
         assert result.latency == validation.replica_hit_latency(tuned)
 
@@ -73,7 +73,7 @@ class TestReplicaHit:
 class TestOffchipMiss:
     def test_offchip_exact(self, config):
         engine = SNucaScheme(config)
-        result = engine.access(0, AccessType.READ, 7, 0.0)  # cold, home 3
+        result = access_once(engine, 0, AccessType.READ, 7, 0.0)  # cold, home 3
         assert result.status == MissStatus.OFF_CHIP_MISS
         controller = engine.dram.controller_for(7)
         expected = validation.offchip_miss_latency(

@@ -19,7 +19,7 @@ import pytest
 from repro.common.params import MachineConfig
 from repro.common.types import AccessType
 from repro.schemes.factory import make_scheme
-from repro.sim.kernel import ReferenceKernel
+from repro.sim.kernel import ReferenceKernel, kernel_names
 from repro.sim.stats import SimStats
 from repro.testing.differential import (
     DifferentialMismatch,
@@ -31,7 +31,6 @@ from repro.testing.differential import (
     stats_diff,
     summarize,
     truncated_traces,
-    verify_all_kernels,
     verify_kernels,
     verify_matrix,
 )
@@ -107,10 +106,11 @@ class TestKernelEquivalence:
         assert stats.completion_time > 0
         assert stats.l1_misses() > 0
 
-    def test_verify_all_kernels_covers_every_candidate(self, config, trace_sets):
-        """The three-way check the fuzz CLI drives: every registered
-        non-reference kernel against the reference in one call."""
-        stats = verify_all_kernels(
+    def test_verify_kernels_defaults_to_fast(self, config, trace_sets):
+        """The check the fuzz CLI drives: the fast kernel against the
+        reference, with no kernel named."""
+        assert kernel_names() == ("reference", "fast")
+        stats = verify_kernels(
             lambda: make_scheme("RT-3", config), trace_sets["BARNES"]
         )
         assert stats.completion_time > 0
@@ -217,7 +217,7 @@ class TestFirstDivergence:
         self, config, trace_sets
     ):
         prefix = truncated_traces(trace_sets["OCEAN-C"], 25)
-        verify_all_kernels(lambda: make_scheme("S-NUCA", config), prefix)
+        verify_kernels(lambda: make_scheme("S-NUCA", config), prefix)
 
     def test_bisection_finds_divergence_onset(self, config, trace_sets):
         traces = trace_sets["DEDUP"]

@@ -150,7 +150,7 @@ class TestCli:
         from repro.testing.cli import main
 
         assert main(
-            ["verify-kernels", "--fuzz", "1", "--seed", "4", "--kernels", "fast"]
+            ["verify-kernels", "--fuzz", "1", "--seed", "4", "--kernel", "fast"]
         ) == 0
 
     def test_unknown_subcommand_rejected(self):

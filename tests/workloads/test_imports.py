@@ -25,6 +25,8 @@ from repro.workloads.imports import (
     infer_regions,
     is_imported_benchmark,
     imported_trace_path,
+    regions_from_line_sets,
+    sorted_unique,
     trace_content_hash,
 )
 from repro.workloads.trace import CoreTrace, TraceSet
@@ -301,6 +303,46 @@ class TestRegionInference:
         traces.validate_coverage()  # must not raise
 
 
+def _sorted_unique_inputs():
+    rng = np.random.default_rng(5)
+    yield "empty", np.empty(0, dtype=np.int64)
+    yield "one line", np.array([42], dtype=np.int64)
+    # A hot set: 100K accesses over 64 lines, as a loop-heavy capture has.
+    yield "hot set", rng.integers(1 << 20, (1 << 20) + 64, size=100_000)
+    for trial in range(5):
+        yield f"random {trial}", rng.integers(
+            -(1 << 40), 1 << 40, size=rng.integers(1, 5000), dtype=np.int64
+        )
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize(
+        "lines", [lines for _name, lines in _sorted_unique_inputs()],
+        ids=[name for name, _lines in _sorted_unique_inputs()],
+    )
+    def test_matches_np_unique(self, lines):
+        expected = np.unique(lines)
+        result = sorted_unique(lines)
+        assert result.dtype == expected.dtype
+        np.testing.assert_array_equal(result, expected)
+
+    def test_region_map_matches_the_np_unique_inference(self):
+        """infer_regions over sorted_unique sets gives the map np.unique gave."""
+        rng = np.random.default_rng(9)
+        cores = [
+            _core(rng.choice([R, W, I], size=3000, p=[0.6, 0.2, 0.2]),
+                  rng.integers(0, 1500, size=3000))
+            for _core_id in range(4)
+        ]
+        per_core = [
+            (np.asarray(core.types), np.asarray(core.lines)) for core in cores
+        ]
+        data = [np.unique(lines[(types == R) | (types == W)]) for types, lines in per_core]
+        written = [np.unique(lines[types == W]) for types, lines in per_core]
+        fetched = [np.unique(lines[types == I]) for types, lines in per_core]
+        assert infer_regions(cores) == regions_from_line_sets(data, written, fetched)
+
+
 def _coalesce_per_region(lines, classes):
     """The element-wise ``_coalesce`` the vectorized one replaced."""
     if lines.size == 0:
@@ -433,14 +475,14 @@ class TestExporters:
 
 class TestImportedTraceSimulates:
     def test_all_kernels_bit_identical(self, tmp_path, tiny_config):
-        from repro.testing.differential import verify_all_kernels
+        from repro.testing.differential import verify_kernels
 
         synthetic = build_trace(
             get_profile("BARNES"), tiny_config, scale=0.05, seed=3
         )
         path = export_csv(synthetic, tmp_path / "b.csv")
         imported = import_trace(path)
-        verify_all_kernels(
+        verify_kernels(
             lambda: make_scheme("RT-3", tiny_config), imported,
             context="imported-csv",
         )
