@@ -7,7 +7,7 @@ Usage::
     python -m repro testing verify-kernels --repro case-7.json  # replay a bundle
 
 ``verify-kernels`` differentially verifies the ``fast`` simulation
-kernel (or ``--kernel``) against the reference event loop:
+kernel against the reference event loop:
 
 * with no options, over the same three checked-in workload regimes the
   tier-1 differential suite pins (quick sanity run);
@@ -29,7 +29,6 @@ from pathlib import Path
 
 from repro.common.params import MachineConfig
 from repro.schemes.factory import make_scheme
-from repro.sim.kernel import kernel_names
 from repro.testing import fuzz
 from repro.testing.differential import DifferentialMismatch, verify_kernels
 from repro.workloads.benchmarks import build_trace, get_profile
@@ -59,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "checked-in matrix")
     verify.add_argument("--seed", type=int, default=1,
                         help="base seed for --fuzz case derivation")
-    verify.add_argument("--kernel", choices=tuple(kernel_names()), default="fast",
-                        help="candidate kernel compared with the reference "
-                             "(default: fast)")
     verify.add_argument("--machine", choices=("tiny", "small"), default="tiny",
                         help="machine configuration for fuzz cases")
     verify.add_argument("--out", type=Path, default=Path("fuzz-failures"),
@@ -104,7 +100,7 @@ def _run_repro(args: argparse.Namespace) -> int:
     case = fuzz.FuzzCase.from_bundle(bundle)
     print(f"replaying {case.describe()}")
     try:
-        fuzz.run_case(case, kernel=args.kernel)
+        fuzz.run_case(case)
     except DifferentialMismatch as error:
         print(error)
         return 1
@@ -123,7 +119,6 @@ def _run_checked_in(args: argparse.Namespace) -> int:
                 stats = verify_kernels(
                     lambda scheme=scheme: make_scheme(scheme, config),
                     traces,
-                    candidate=args.kernel,
                     context=context,
                 )
             except DifferentialMismatch as error:
@@ -139,7 +134,6 @@ def _run_fuzz(args: argparse.Namespace) -> int:
         args.fuzz,
         args.seed,
         machine=args.machine,
-        kernel=args.kernel,
         out_dir=args.out,
         log=print,
     )

@@ -272,9 +272,7 @@ def _raise_mismatch(
         if locate
         else None
     )
-    raise DifferentialMismatch(
-        diffs, context or f"{reference} vs {candidate}", first=first
-    )
+    raise DifferentialMismatch(diffs, context, first=first)
 
 
 def verify_kernels(
@@ -297,8 +295,10 @@ def verify_kernels(
         engine_builder, traces, reference, candidate
     )
     if diffs:
+        label = f"{reference} vs {candidate}"
         _raise_mismatch(
-            engine_builder, traces, reference, candidate, diffs, context, locate
+            engine_builder, traces, reference, candidate, diffs,
+            f"{context}: {label}" if context else label, locate,
         )
     return reference_stats
 

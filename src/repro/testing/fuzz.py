@@ -235,9 +235,8 @@ def build_case_traces(case: FuzzCase, config: MachineConfig) -> TraceSet:
 def run_case(
     case: FuzzCase,
     config: MachineConfig | None = None,
-    kernel: str = "fast",
 ) -> SimStats:
-    """Differentially verify one case: ``kernel`` against the reference.
+    """Differentially verify one case: the fast kernel against the reference.
 
     Raises :class:`DifferentialMismatch` (with the first cycle-stamped
     divergent field localized) on any disagreement.
@@ -247,7 +246,6 @@ def run_case(
     return verify_kernels(
         lambda: make_scheme(case.scheme, machine),
         traces,
-        candidate=kernel,
         context=case.describe(),
     )
 
@@ -362,7 +360,6 @@ def run_fuzz(
     count: int,
     seed: int,
     machine: str = "tiny",
-    kernel: str = "fast",
     out_dir: Path | None = None,
     log=None,
 ) -> FuzzReport:
@@ -371,7 +368,7 @@ def run_fuzz(
     report = FuzzReport()
     for case in iter_cases(count, seed, machine=machine):
         try:
-            stats = run_case(case, kernel=kernel)
+            stats = run_case(case)
         except DifferentialMismatch as error:
             report.failed.append((case, error))
             if out_dir is not None:

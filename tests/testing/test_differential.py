@@ -254,6 +254,8 @@ class TestFirstDivergence:
         assert isinstance(error.first, FirstDivergence)
         assert error.first.record_index == 101
         message = str(error)
+        # The context is followed by the kernel pair that diverged.
+        assert message.startswith("kernels diverge (unit: reference vs ")
         assert "first divergence within the first 101 record(s)/core" in message
         assert "cycle" in message
         assert "counters[l1d_hits]" in message
@@ -267,3 +269,4 @@ class TestFirstDivergence:
                 locate=False,
             )
         assert excinfo.value.first is None
+        assert str(excinfo.value).startswith("kernels diverge (reference vs ")

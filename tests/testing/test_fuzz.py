@@ -146,12 +146,24 @@ class TestCli:
         assert main(["verify-kernels", "--repro", str(bundle_path)]) == 0
         assert "no longer diverges" in capsys.readouterr().out
 
-    def test_kernel_filter_is_honored(self):
+    def test_kernel_filter_is_honored(self, monkeypatch):
+        # verify-kernels has no kernel option: it always compares the
+        # fast kernel against the reference, one simulation each.
+        from repro.testing import differential
         from repro.testing.cli import main
 
-        assert main(
-            ["verify-kernels", "--fuzz", "1", "--seed", "4", "--kernel", "fast"]
-        ) == 0
+        simulated = []
+        real_simulate = differential.simulate
+
+        def recording_simulate(engine, traces, kernel):
+            simulated.append(kernel)
+            return real_simulate(engine, traces, kernel=kernel)
+
+        monkeypatch.setattr(differential, "simulate", recording_simulate)
+        assert main(["verify-kernels", "--fuzz", "1", "--seed", "4"]) == 0
+        assert simulated == ["reference", "fast"]
+        with pytest.raises(SystemExit):
+            main(["verify-kernels", "--kernel", "reference"])
 
     def test_unknown_subcommand_rejected(self):
         from repro.testing.cli import build_parser
