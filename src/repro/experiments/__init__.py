@@ -4,9 +4,10 @@ The public surface is the declarative experiment API:
 
 * :class:`RunPoint` / :class:`ExperimentSpec` — describe a grid of runs
   as data (``repro.experiments.spec``);
-* :func:`execute_spec` — run a spec (sequentially, or over a process
-  pool with ``max_workers > 1``) against the content-addressed
-  :class:`ResultStore`.  A grid split across hosts is just disjoint
+* :func:`execute_spec` — the one executor: run a spec's missed points
+  (in-process, or over a process pool with ``max_workers > 1``) against
+  the content-addressed :class:`ResultStore`; :class:`RunSpec` is the
+  picklable unit it runs.  A grid split across hosts is just disjoint
   ``--benchmarks`` runs into one shared store directory, then a
   collector run served from it;
 * :class:`ResultSet` — query the outcome (``pivot`` / ``normalized_to``
@@ -17,16 +18,11 @@ See ``python -m repro experiments --help`` (and ``--list`` for the
 registered command catalog).
 """
 
-from repro.experiments.parallel import (
-    RunSpec,
-    execute_spec_parallel,
-    run_specs,
-)
+from repro.experiments.parallel import RunSpec
 from repro.experiments.results import ResultSet
 from repro.experiments.runner import (
     ExperimentSetup,
     RunResult,
-    run_asr_best,
     run_matrix,
     run_one,
 )
@@ -61,11 +57,8 @@ __all__ = [
     "RunResult",
     "RunSpec",
     "execute_spec",
-    "execute_spec_parallel",
     "register_experiment",
     "register_report",
-    "run_asr_best",
     "run_matrix",
     "run_one",
-    "run_specs",
 ]

@@ -188,7 +188,7 @@ def store_main(argv: "list[str]") -> int:
         backend = JsonDirBackend(args.store)
     else:
         backend = _store_from_env(parser).backend
-        if not isinstance(backend, JsonDirBackend):
+        if backend is None:
             parser.error(
                 "no on-disk store: pass --store DIR or point REPRO_RESULT_CACHE "
                 "at a directory (it is currently set to a disabling value)"

@@ -2,12 +2,17 @@
 
 This is the layer every figure module builds on.  It owns:
 
-* trace construction (one deterministic trace per benchmark/seed,
-  memoized so a seven-scheme comparison reuses the same access streams);
-* the ASR replication-level search (Section 3.3: run the five discrete
-  levels and keep the lowest energy-delay product);
-* the per-scheme energy model (the locality scheme charges its extended
-  directory at 1.2×).
+* :class:`RunResult`, one simulation's statistics with the scheme's own
+  energy accounting (the locality scheme charges its extended directory
+  at 1.2×);
+* :class:`ExperimentSetup` and its trace construction (one
+  deterministic trace per benchmark/seed, memoized so a seven-scheme
+  comparison reuses the same access streams);
+* :func:`run_one` and :func:`run_matrix`, which run one point or a
+  (benchmark × scheme) matrix through
+  :func:`~repro.experiments.spec.execute_spec`.  That executor owns the
+  ASR replication-level search (Section 3.3: run the five discrete
+  levels and keep the lowest energy-delay product).
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from typing import Iterable
 
 from repro.common.params import MachineConfig
 from repro.schemes.asr import ASRScheme
-from repro.schemes.factory import make_scheme
-from repro.sim.simulator import simulate
 from repro.sim.stats import SimStats
 from repro.workloads.benchmarks import BENCHMARK_ORDER, build_trace, get_profile
 from repro.workloads.imports import imported_trace_path, is_imported_benchmark
@@ -98,47 +101,28 @@ def run_one(
     config: MachineConfig | None = None,
     **scheme_kwargs,
 ) -> RunResult:
-    """Run one (scheme, benchmark) pair.
+    """Run one (scheme, benchmark) pair as a one-point spec.
 
-    ``ASR`` triggers the replication-level search automatically; with
-    an explicit ``replication_level`` it skips the search and reports
-    that level as ``asr_level``, so the sequential and process-pool
-    paths store the same payload for the point.  An explicit ``config``
-    overrides the setup's machine (used by sweeps that vary classifier k
-    or cluster size).
+    ``ASR`` searches the setup's replication levels; with an explicit
+    ``replication_level`` it runs that level and reports it as
+    ``asr_level``.  An explicit ``config`` overrides the setup's machine
+    (used by sweeps that vary classifier k or cluster size); the trace
+    is still the setup's.
     """
-    machine_config = config or setup.config
-    if scheme_label == "ASR" and "replication_level" not in scheme_kwargs:
-        return run_asr_best(setup, benchmark, machine_config)
-    traces = setup.trace_for(benchmark)
-    engine = make_scheme(scheme_label, machine_config, **scheme_kwargs)
-    stats = simulate(engine, traces)
-    breakdown = stats.energy_breakdown(engine.energy_model())
-    level = scheme_kwargs.get("replication_level") if scheme_label == "ASR" else None
-    return RunResult(scheme_label, benchmark, stats, breakdown, asr_level=level)
+    from repro.experiments.spec import ExperimentSpec, RunPoint, execute_spec
 
-
-def run_asr_best(
-    setup: ExperimentSetup,
-    benchmark: str,
-    config: MachineConfig | None = None,
-) -> RunResult:
-    """ASR at the five replication levels; keep the lowest-EDP level."""
-    machine_config = config or setup.config
-    traces = setup.trace_for(benchmark)
-    best: RunResult | None = None
-    best_edp = float("inf")
-    for level in setup.asr_levels:
-        engine = make_scheme("ASR", machine_config, replication_level=level)
-        stats = simulate(engine, traces)
-        breakdown = stats.energy_breakdown(engine.energy_model())
-        energy = sum(breakdown.values())
-        edp = energy * stats.completion_time
-        if edp < best_edp:
-            best_edp = edp
-            best = RunResult("ASR", benchmark, stats, breakdown, asr_level=level)
-    assert best is not None
-    return best
+    overrides = {}
+    if config is not None:
+        overrides = {
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if getattr(config, field.name) != getattr(setup.config, field.name)
+        }
+    point = RunPoint(
+        scheme_label, benchmark,
+        config_overrides=overrides, scheme_kwargs=scheme_kwargs,
+    )
+    return execute_spec(ExperimentSpec("run_one", (point,)), setup).result_for(point)
 
 
 def run_matrix(

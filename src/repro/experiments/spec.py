@@ -10,15 +10,17 @@ describes each figure as data instead of bespoke loops:
 * :class:`ExperimentSpec` — a named grid of RunPoints plus presentation
   metadata (title, normalization baseline).  Every figure module builds
   one (``comparison_spec``, ``fig9_spec``, …).
-* :func:`execute_spec` — the single executor.  It resolves each point
-  against an :class:`~repro.experiments.runner.ExperimentSetup`, checks
-  the content-addressed :class:`~repro.experiments.store.ResultStore`,
-  simulates only the misses, and returns a queryable
-  :class:`~repro.experiments.results.ResultSet`.  ``max_workers > 1``
-  fans the missed points out over a process pool
-  (:func:`repro.experiments.parallel.execute_spec_parallel`).  Several
-  hosts split a grid by running disjoint ``--benchmarks`` subsets into
-  one shared store directory; no other executor exists.
+* :func:`execute_spec` — the one grid executor.  It resolves each
+  point against an :class:`~repro.experiments.runner.ExperimentSetup`,
+  checks the content-addressed
+  :class:`~repro.experiments.store.ResultStore`, expands each missed
+  point into picklable :class:`~repro.experiments.parallel.RunSpec`
+  runs (an ASR point without a level becomes one per level), runs them
+  in-process or, with ``max_workers > 1``, over a process pool, keeps
+  each point's lowest-EDP run and stores it as soon as its runs are in.
+  It returns a queryable :class:`~repro.experiments.results.ResultSet`.
+  Several hosts split a grid by running disjoint ``--benchmarks``
+  subsets into one shared store directory; no other executor exists.
 * the **registry** — ``@register_experiment`` / ``@register_report``
   bind CLI command names to spec builders (or plain report callables);
   ``python -m repro experiments`` generates its subcommands and
@@ -30,8 +32,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable, Mapping, Sequence
 
+from repro.experiments.parallel import RunSpec, completed_runs
 from repro.experiments.results import ResultSet
-from repro.experiments.runner import ExperimentSetup, RunResult, run_one
+from repro.experiments.runner import ExperimentSetup, RunResult
 from repro.experiments.store import ResultStore
 from repro.workloads.benchmarks import BENCHMARKS, BENCHMARK_ORDER
 from repro.workloads.imports import (
@@ -83,6 +86,15 @@ class RunPoint:
     def col_label(self) -> "str | int":
         return self.label if self.label is not None else self.scheme
 
+    @property
+    def searches_asr_level(self) -> bool:
+        """An ASR point without an explicit replication level runs every
+        level of the setup's search and keeps the best."""
+        return (
+            self.scheme == "ASR"
+            and "replication_level" not in dict(self.scheme_kwargs)
+        )
+
     def effective_config(self, base):
         """The setup's machine with this point's overrides applied."""
         if not self.config_overrides:
@@ -117,9 +129,27 @@ class RunPoint:
             )
             payload["scale"] = None
             payload["seed"] = None
-        if self.scheme == "ASR" and "replication_level" not in dict(self.scheme_kwargs):
+        if self.searches_asr_level:
             payload["asr_levels"] = list(setup.asr_levels)
         return payload
+
+    def expand(self, setup: ExperimentSetup) -> list[RunSpec]:
+        """The runs behind this point: one, or one per level of the
+        setup's ASR search."""
+        scale = self.scale if self.scale is not None else setup.scale
+        seed = self.seed if self.seed is not None else setup.seed
+        if not self.searches_asr_level:
+            return [RunSpec(self, setup.config, scale, seed)]
+        return [
+            RunSpec(
+                dataclasses.replace(
+                    self,
+                    scheme_kwargs=self.scheme_kwargs + (("replication_level", level),),
+                ),
+                setup.config, scale, seed,
+            )
+            for level in setup.asr_levels
+        ]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -199,53 +229,61 @@ def execute_spec(
     """Run every point of ``spec`` (reusing stored results) → ResultSet.
 
     With no ``store``, a fresh memory-only store still deduplicates
-    identical points within the spec.  ``max_workers > 1`` spreads the
-    missed points over worker processes; results are identical to the
-    sequential path (simulation is deterministic and every point is
-    independent).
+    identical points within the spec.  The runs of the missed points go
+    in-process (``max_workers <= 1``) or over a pool of ``max_workers``
+    processes; the results are the same either way, because simulation
+    is deterministic and every run is independent.  Each point is stored
+    as soon as all of its runs are in, so a run that dies part-way keeps
+    the points it finished.
     """
     if store is None:
         store = ResultStore.memory()
-    if max_workers and max_workers > 1:
-        from repro.experiments.parallel import execute_spec_parallel
+    results, missed = _scan_misses(spec, setup, store)
+    expansions = [points[0].expand(setup) for _key, points in missed]
+    outputs = [[None] * len(expansion) for expansion in expansions]
+    work = [((index, slot), run_spec) for index, expansion in enumerate(expansions)
+            for slot, run_spec in enumerate(expansion)]
+    for (index, slot), result in completed_runs(work, setup, max_workers):
+        outputs[index][slot] = result
+        if None not in outputs[index]:
+            # Section 3.3: ASR keeps its lowest-EDP level (first on ties).
+            best = min(outputs[index], key=_edp)
+            key, points = missed[index]
+            store.put(key, best)
+            for shared_point in points:
+                results[shared_point] = best
+    return ResultSet.from_spec(spec, {point: results[point] for point in spec.points})
 
-        return execute_spec_parallel(spec, setup, store, max_workers=max_workers)
 
-    setups: dict = {}
+def _edp(result: RunResult) -> float:
+    return result.total_energy * result.completion_time
+
+
+def _scan_misses(
+    spec: ExperimentSpec, setup: ExperimentSetup, store: ResultStore
+) -> "tuple[dict, list[tuple[str, list]]]":
+    """Split a spec into store-served results and missed point groups.
+
+    Returns ``(results, missed)``: ``results`` maps store-served
+    RunPoints to their results, and ``missed`` lists, in first-appearance
+    order, ``(content address, [points sharing it])`` for every address
+    that has to be simulated.  A point repeating a pending address counts
+    as a hit, as it would if the first had been stored already.
+    """
     results: dict = {}
+    groups: dict = {}
     for point in spec.points:
-        point_setup = _setup_for(point, setup, setups)
         key = store.key_for(point.fingerprint(setup))
-        results[point] = store.get_or_run(
-            key, lambda p=point, s=point_setup: _run_point(p, s)
-        )
-    return ResultSet.from_spec(spec, results)
-
-
-def _setup_for(point: RunPoint, setup: ExperimentSetup, cache: dict) -> ExperimentSetup:
-    """The setup a point executes under (per-point scale/seed overrides
-    get a derived setup so trace caching stays correct)."""
-    scale = point.scale if point.scale is not None else setup.scale
-    seed = point.seed if point.seed is not None else setup.seed
-    if scale == setup.scale and seed == setup.seed:
-        return setup
-    key = (scale, seed)
-    derived = cache.get(key)
-    if derived is None:
-        derived = ExperimentSetup(
-            setup.config, scale=scale, seed=seed,
-            asr_levels=setup.asr_levels,
-        )
-        cache[key] = derived
-    return derived
-
-
-def _run_point(point: RunPoint, setup: ExperimentSetup) -> RunResult:
-    config = point.effective_config(setup.config)
-    return run_one(
-        setup, point.scheme, point.benchmark, config=config,
-        **dict(point.scheme_kwargs),
-    )
+        if key in groups:
+            groups[key].append(point)
+            store.record_hit()
+            continue
+        cached = store.get(key)
+        if cached is not None:
+            results[point] = cached
+            continue
+        groups[key] = [point]
+    return results, list(groups.items())
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,18 @@ content address, and :class:`ResultStore` maps addresses to
 Figure 1 motivation study, raw profile payloads — see
 :meth:`ResultStore.get_payload`).
 
-The store is split into two layers:
+The store has two layers:
 
 * an **in-memory object layer** (inside :class:`ResultStore`) guarantees
   that one process never performs the same simulation twice and
   preserves object identity within an invocation;
-* a pluggable :class:`StoreBackend` persists JSON payloads.  Two stock
-  backends ship:
-
-  - :class:`MemoryBackend` — payload dict in memory, no persistence
-    (``ResultStore(root=None)``; per-invocation deduplication only);
-  - :class:`JsonDirBackend` — one ``<address>.json`` file per entry in a
-    flat directory, with atomic cross-process (and cross-host) writes.
-    Any number of processes — ``--parallel`` workers, or
-    ``--benchmarks`` partitions of one grid on several hosts mounting
-    the directory — can share it; each commits only its own points.
+* an optional :class:`JsonDirBackend` persists JSON payloads, one
+  ``<address>.json`` file per entry in a flat directory, with atomic
+  cross-process (and cross-host) writes.  Any number of processes —
+  concurrent invocations, or ``--benchmarks`` partitions of one grid on
+  several hosts mounting the directory — can share it; each commits
+  only its own points.  ``ResultStore(root=None)`` has no backend: it
+  deduplicates one invocation only.
 
 Serialization is exact — JSON round-trips Python floats bit-for-bit —
 so a disk hit reproduces the original statistics digit for digit.
@@ -62,7 +59,7 @@ import os
 import re
 import socket
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterator, Mapping
 
 from repro.common.types import MissStatus
 from repro.experiments.runner import RunResult
@@ -81,7 +78,7 @@ _DISABLED_VALUES = ("0", "off", "none", "disabled", "false")
 
 #: Process-wide sequence for temp-file names: combined with the host
 #: and pid it makes every write's temp path unique across *all*
-#: concurrent writers (stores in this process, ``--parallel`` workers,
+#: concurrent writers (stores in this process, other invocations,
 #: partitions on other hosts sharing the directory over a network
 #: mount), so no two writers can interleave into the same temp file and
 #: ``os.replace`` a torn payload.
@@ -176,12 +173,12 @@ def decode_result(payload: Mapping) -> RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Backend protocol and the stock implementations
+# On-disk persistence
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
 class StoreStats:
-    """One backend's persisted footprint (``store stats`` CLI payload)."""
+    """The on-disk store's footprint (``store stats`` CLI payload)."""
 
     location: str
     entries: int
@@ -194,71 +191,14 @@ class StoreStats:
         )
 
 
-@runtime_checkable
-class StoreBackend(Protocol):
-    """Persistence layer behind :class:`ResultStore`.
-
-    A backend maps content addresses to JSON-serializable payload dicts.
-    ``load`` returns ``None`` for unknown, unreadable or torn entries (a
-    miss, never a crash); ``store`` returns whether the payload is
-    durably visible to a *fresh* store sharing this backend.
-    ``persistent`` distinguishes backends whose hits the accounting
-    reports as served "from disk".
-    """
-
-    persistent: bool
-
-    def load(self, key: str) -> "Mapping | None": ...
-
-    def store(self, key: str, payload: Mapping) -> bool: ...
-
-    def delete(self, key: str) -> bool: ...
-
-    def keys(self) -> Iterator[str]: ...
-
-    def location(self) -> str: ...
-
-    def stats(self) -> StoreStats: ...
-
-
-class MemoryBackend:
-    """Payloads in a plain dict — no persistence beyond the object."""
-
-    persistent = False
-
-    def __init__(self) -> None:
-        self._payloads: dict[str, Mapping] = {}
-
-    def load(self, key: str) -> Mapping | None:
-        return self._payloads.get(key)
-
-    def store(self, key: str, payload: Mapping) -> bool:
-        self._payloads[key] = payload
-        return True
-
-    def delete(self, key: str) -> bool:
-        return self._payloads.pop(key, None) is not None
-
-    def keys(self) -> Iterator[str]:
-        return iter(tuple(self._payloads))
-
-    def location(self) -> str:
-        return "<memory>"
-
-    def stats(self) -> StoreStats:
-        return StoreStats(self.location(), len(self._payloads), 0)
-
-
 class JsonDirBackend:
     """One ``<key>.json`` per entry in a flat directory.
 
     Writes are atomic (unique temp name + ``os.replace``) so concurrent
-    writers — ``--parallel`` workers, other invocations, partitions on
-    other hosts — can share the directory without ever exposing a torn
-    payload.
+    writers — other invocations, partitions on other hosts — can share
+    the directory without ever exposing a torn payload.  A missing,
+    unreadable or torn entry loads as ``None`` (a miss, never a crash).
     """
-
-    persistent = True
 
     def __init__(self, root: "Path | str") -> None:
         self.root = Path(root)
@@ -312,7 +252,7 @@ class JsonDirBackend:
             except OSError:
                 pass
 
-    # -- StoreBackend --------------------------------------------------------
+    # -- entries -------------------------------------------------------------
     def load(self, key: str) -> Mapping | None:
         try:
             with self._entry_path(key).open("r", encoding="utf-8") as handle:
@@ -337,20 +277,6 @@ class JsonDirBackend:
             return False
         return True
 
-    def delete(self, key: str) -> bool:
-        try:
-            self._entry_path(key).unlink()
-        except OSError:
-            return False
-        return True
-
-    def keys(self) -> Iterator[str]:
-        for path in self._entries():
-            yield path.name[: -len(".json")]
-
-    def location(self) -> str:
-        return str(self.root)
-
     def stats(self) -> StoreStats:
         entries = 0
         total = 0
@@ -360,7 +286,7 @@ class JsonDirBackend:
             except OSError:
                 continue
             entries += 1
-        return StoreStats(self.location(), entries, total)
+        return StoreStats(str(self.root), entries, total)
 
     # -- maintenance ---------------------------------------------------------
     def purge(self) -> StoreStats:
@@ -375,7 +301,7 @@ class JsonDirBackend:
                 continue
             removed += 1
             freed += size
-        return StoreStats(self.location(), removed, freed)
+        return StoreStats(str(self.root), removed, freed)
 
 
 # ---------------------------------------------------------------------------
@@ -387,30 +313,23 @@ class ResultStore:
     """Content-addressed {fingerprint hash → RunResult} with accounting.
 
     ``root=None`` keeps the store memory-only (one invocation's
-    deduplication); a path adds JSON-on-disk persistence; an explicit
-    ``backend`` plugs in any :class:`StoreBackend`.  The counters record the
-    outcome of every :meth:`get`/:meth:`get_or_run` lookup: ``hits``
-    (served from memory or the backend, split out as ``disk_hits``) and
-    ``misses`` (the caller had to simulate).
+    deduplication); a path adds JSON-on-disk persistence through a
+    :class:`JsonDirBackend`.  The counters record the outcome of every
+    :meth:`get` lookup: ``hits`` (served from memory or disk, the latter
+    split out as ``disk_hits``) and ``misses`` (the caller had to
+    simulate).
     """
 
     root: Path | None = None
     hits: int = 0
     misses: int = 0
     disk_hits: int = 0
-    backend: "StoreBackend | None" = None
 
     def __post_init__(self) -> None:
-        if self.backend is None:
-            if self.root is not None:
-                self.root = Path(self.root)
-                self.backend = JsonDirBackend(self.root)
-            else:
-                self.backend = MemoryBackend()
-        else:
-            backend_root = getattr(self.backend, "root", None)
-            if self.root is None and backend_root is not None:
-                self.root = Path(backend_root)
+        self.backend: "JsonDirBackend | None" = None
+        if self.root is not None:
+            self.root = Path(self.root)
+            self.backend = JsonDirBackend(self.root)
         self._memory: dict[str, object] = {}
 
     # -- construction --------------------------------------------------------
@@ -471,35 +390,28 @@ class ResultStore:
         if obj is not None:
             self._memory[key] = obj
             self.hits += 1
-            if getattr(self.backend, "persistent", False):
-                self.disk_hits += 1
+            self.disk_hits += 1
             return obj
         self.misses += 1
         return None
 
     def put(self, key: str, result: RunResult) -> bool:
         """Store a result; True when it is durably visible to a fresh
-        store sharing this backend."""
+        store on the same directory."""
         self._memory[key] = result
-        return self.backend.store(key, encode_result(result))
+        return self.backend is not None and self.backend.store(
+            key, encode_result(result)
+        )
 
     def put_payload(self, key: str, payload: Mapping) -> bool:
         """Store a raw payload dict under a content address."""
         self._memory[key] = dict(payload)
-        return self.backend.store(key, payload)
-
-    def get_or_run(self, key: str, run: Callable[[], RunResult]) -> RunResult:
-        """Return the stored result or execute ``run`` and store it."""
-        result = self.get(key)
-        if result is None:
-            result = run()
-            self.put(key, result)
-        return result
+        return self.backend is not None and self.backend.store(key, payload)
 
     def record_hit(self) -> None:
-        """Count a hit served outside :meth:`get` (the parallel executor
-        deduplicates same-address points before their result is stored,
-        keeping its accounting identical to the sequential path)."""
+        """Count a hit served outside :meth:`get`: ``execute_spec``
+        serves a spec's repeated content address from the first
+        occurrence's pending run, before that result is stored."""
         self.hits += 1
 
     # -- accounting ----------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 from repro.common.params import MachineConfig
 from repro.experiments.runner import (
     ExperimentSetup,
-    run_asr_best,
     run_matrix,
     run_one,
 )
+from repro.experiments.spec import ExperimentSpec, RunPoint, execute_spec
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +41,14 @@ class TestRunOne:
         tuned = setup.config.with_overrides(replication_threshold=5)
         result = run_one(setup, "Locality", "DEDUP", config=tuned)
         assert result.stats is not None
+        # The machine reaches the run as the point's overrides.
+        eager = setup.config.with_overrides(replication_threshold=1)
+        point = RunPoint("Locality", "DEDUP",
+                         config_overrides={"replication_threshold": 1})
+        spec = ExperimentSpec("tuned", (point,))
+        direct = run_one(setup, "Locality", "DEDUP", config=eager)
+        assert execute_spec(spec, setup).result_for(point).stats == direct.stats
+        assert run_one(setup, "Locality", "DEDUP").stats != direct.stats
 
     def test_locality_uses_scaled_directory_energy(self, setup):
         snuca = run_one(setup, "S-NUCA", "DEDUP")
@@ -53,7 +61,7 @@ class TestRunOne:
 
 class TestASRSearch:
     def test_asr_reports_chosen_level(self, setup):
-        result = run_asr_best(setup, "PATRICIA")
+        result = run_one(setup, "ASR", "PATRICIA")
         assert result.asr_level in (0.0, 0.25, 0.5, 0.75, 1.0)
 
     def test_asr_label_triggers_search(self, setup):
@@ -61,18 +69,23 @@ class TestASRSearch:
         assert result.asr_level is not None
 
     def test_explicit_level_skips_search(self, setup, monkeypatch):
-        import repro.experiments.runner as runner_module
+        import repro.experiments.parallel as parallel_module
 
-        def no_search(*args, **kwargs):
-            raise AssertionError("an explicit level must not search")
+        runs = []
+        original = parallel_module.simulate
 
-        monkeypatch.setattr(runner_module, "run_asr_best", no_search)
+        def counting(engine, traces):
+            runs.append(engine)
+            return original(engine, traces)
+
+        monkeypatch.setattr(parallel_module, "simulate", counting)
         result = run_one(setup, "ASR", "PATRICIA", replication_level=0.25)
+        assert len(runs) == 1, "an explicit level must not search"
         # The level that ran is reported, as the process pool reports it.
         assert result.asr_level == 0.25
 
     def test_best_level_minimizes_edp(self, setup):
-        best = run_asr_best(setup, "PATRICIA")
+        best = run_one(setup, "ASR", "PATRICIA")
         best_edp = best.total_energy * best.completion_time
         for level in (0.0, 1.0):
             other = run_one(setup, "ASR", "PATRICIA", replication_level=level)

@@ -52,19 +52,12 @@ class TestKeying:
 
 
 class TestAccounting:
-    def test_get_or_run_counts_and_memoizes(self, result):
+    def test_get_put_counts_and_memoizes(self, result):
         store = ResultStore.memory()
-        calls = []
-
-        def thunk():
-            calls.append(1)
-            return result
-
-        first = store.get_or_run("key", thunk)
-        second = store.get_or_run("key", thunk)
-        assert first is result and second is result
-        assert len(calls) == 1
-        assert (store.hits, store.misses) == (1, 1)
+        assert store.get("key") is None
+        assert store.put("key", result) is False  # memory only: not durable
+        assert store.get("key") is result
+        assert (store.hits, store.misses, store.disk_hits) == (1, 1, 0)
         assert store.hit_rate() == 0.5
 
     def test_idle_store_reports_zero_rate(self):

@@ -1,6 +1,4 @@
-"""StoreBackend protocol: pluggable persistence behind ResultStore."""
-
-import json
+"""JsonDirBackend: the on-disk persistence behind ResultStore."""
 
 import pytest
 
@@ -9,9 +7,7 @@ from repro.experiments.runner import ExperimentSetup, run_one
 from repro.experiments.store import (
     CACHE_ENV_VAR,
     JsonDirBackend,
-    MemoryBackend,
     ResultStore,
-    StoreBackend,
 )
 
 
@@ -25,37 +21,18 @@ KEY = "a" * 64
 OTHER = "b" * 64
 
 
-class TestProtocol:
-    def test_all_backends_satisfy_the_protocol(self, tmp_path):
-        for backend in (
-            MemoryBackend(),
-            JsonDirBackend(tmp_path / "flat"),
-        ):
-            assert isinstance(backend, StoreBackend)
-
-    def test_persistence_flags(self, tmp_path):
-        assert not MemoryBackend().persistent
-        assert JsonDirBackend(tmp_path).persistent
-
+class TestEntries:
     def test_load_unknown_key_is_none(self, tmp_path):
-        for backend in (
-            MemoryBackend(),
-            JsonDirBackend(tmp_path / "flat"),
-        ):
-            assert backend.load(KEY) is None
+        assert JsonDirBackend(tmp_path / "flat").load(KEY) is None
 
-    def test_store_load_delete_roundtrip(self, tmp_path):
+    def test_store_load_roundtrip(self, tmp_path):
         payload = {"scheme": "X", "value": 1.25}
-        for backend in (
-            MemoryBackend(),
-            JsonDirBackend(tmp_path / "flat"),
-        ):
-            assert backend.store(KEY, payload)
-            assert dict(backend.load(KEY)) == payload
-            assert list(backend.keys()) == [KEY]
-            assert backend.delete(KEY)
-            assert backend.load(KEY) is None
-            assert not backend.delete(KEY)
+        backend = JsonDirBackend(tmp_path / "flat")
+        assert backend.store(KEY, payload)
+        assert dict(backend.load(KEY)) == payload
+        assert [path.name for path in (tmp_path / "flat").iterdir()] == [
+            f"{KEY}.json"
+        ]
 
 
 class TestSharedDirectory:
@@ -122,22 +99,3 @@ class TestMaintenance:
         path.write_text(path.read_text()[:10])
         assert backend.load(KEY) is None
 
-
-class TestCustomBackendPluggability:
-    def test_result_store_accepts_any_backend(self, result):
-        class CountingBackend(MemoryBackend):
-            def __init__(self):
-                super().__init__()
-                self.stores = 0
-
-            def store(self, key, payload):
-                self.stores += 1
-                json.dumps(payload)  # must be JSON-serializable
-                return super().store(key, payload)
-
-        backend = CountingBackend()
-        store = ResultStore(backend=backend)
-        store.put(KEY, result)
-        assert backend.stores == 1
-        fresh = ResultStore(backend=backend)
-        assert fresh.get(KEY) is not None
